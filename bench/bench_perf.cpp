@@ -1,57 +1,23 @@
 // Simulator performance benchmarks.
 //
-// Four modes:
+// Three modes:
 //   bench_perf [google-benchmark flags]   microbenchmark suite (BM_*)
-//   bench_perf --json [PATH]              fixed scenario timings written as
-//                                         dcdl.bench_perf.v7 JSON (default
-//                                         PATH: BENCH_perf.json)
-//   bench_perf --baseline PATH            rerun the fixed scenarios and
-//                                         compare events/sec against a
-//                                         committed v1-v7 artifact; exits
-//                                         non-zero on a >10% regression
 //   bench_perf --shards N [--k K] [--ms M]
 //                                         sharded-scaling probe: run the
 //                                         fat-tree permutation at 1 and N
 //                                         shards and print the speedup (the
 //                                         manual dimension for large-k runs
 //                                         on multi-core machines)
-//
-// The --json mode measures events/sec on the paper's scenarios (Fig. 1
-// ring, Fig. 2 routing loop, fat-tree permutation) plus the pure scheduler
-// churn micro, so the perf trajectory of the hot path is tracked as a
-// committed artifact from PR 3 onward. Each scenario is run once to warm
-// the allocator, then `reps` times; the best run is reported (events/sec is
-// a throughput metric — best-of-N rejects scheduler noise). v2 added the
-// simulator's allocation-shape counters (slab slots/grows, heap high water,
-// cancellations); v3 adds sharded fat-tree entries (fat_tree_s2/_s4) with
-// the engine's window statistics — shard count, windows, stalled (idle)
-// windows, cross-shard mailbox deliveries, and per-shard event counts — so
-// both raw throughput and the window protocol's efficiency are tracked;
-// v4 adds routing_loop_dp — the same routing-loop steady state with the
-// in-switch dataplane pipeline armed (policy=detect) — so the per-packet
-// tag-stage overhead rides the same >10% regression gate as everything
-// else; v5 adds the hybrid fluid/packet pair fat_tree_local /
-// fat_tree_local_hy — a k=8 fat-tree with congestion localized to pod 0
-// (intra-pod incast) and CBR background inside every other pod, run pure
-// packet and under the risk-guided hybrid engine — with sim_ms /
-// sim_ms_per_sec so the speedup is measured as simulated-time per wall
-// second (the event streams intentionally differ); v6 adds
-// routing_loop_probe — the routing-loop steady state with the always-on
-// dcdl::probe sampling at 100 us — so the time-series layer's hot-path
-// overhead (hook observers plus sampler events) rides the same regression
-// gate; v7 adds routing_loop_watch — the same steady state with the
-// dcdl::watch early-warning stack attached (wait-for snapshots, the alert
-// rule engine, periodic risk reassessment) — so the watch layer's
-// overhead is gated the same way. The emission keeps one scenario object
-// per line with "name" before "events_per_sec", so a v7 artifact still
-// parses as a --baseline input for older binaries and vice versa.
-//
 //   bench_perf --hybrid [--k K] [--ms M]  hybrid-speedup probe: run the
 //                                         localized-congestion fat-tree
 //                                         (default k=16) pure packet and
 //                                         under --hybrid risk, print the
 //                                         simulated-time/sec speedup and
 //                                         the fluid-time fraction
+//
+// The probes report the best of 3 runs. The repository's noise-aware perf
+// gate is the dcdlbench/ benchmark (`python3 dcdlbench/run.py --all`), not
+// this binary.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -67,13 +33,11 @@
 
 #include "dcdl/device/host.hpp"
 #include "dcdl/hybrid/hybrid.hpp"
-#include "dcdl/probe/probe.hpp"
 #include "dcdl/routing/compute.hpp"
 #include "dcdl/scenarios/scenario.hpp"
 #include "dcdl/sim/sharded.hpp"
 #include "dcdl/topo/generators.hpp"
 #include "dcdl/traffic/flow.hpp"
-#include "dcdl/watch/watch.hpp"
 
 using namespace dcdl;
 using namespace dcdl::literals;
@@ -156,7 +120,7 @@ void BM_EventQueueChurn(benchmark::State& state) {
 BENCHMARK(BM_EventQueueChurn)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// --json mode: fixed scenario timings as a committed artifact.
+// Timed fat-tree runs shared by the --shards and --hybrid probes.
 
 /// Everything one timed run yields. Legacy runs fill only `counters`;
 /// sharded runs add the engine's window statistics (counters are summed
@@ -170,14 +134,14 @@ struct RunOutcome {
   std::uint64_t stalled_windows = 0;  ///< shard-passes that fired 0 events
   std::uint64_t cross_shard_events = 0;
   std::vector<std::uint64_t> shard_events;
-  /// Hybrid fluid/packet engine (v5 scenarios only).
+  /// Hybrid fluid/packet engine (--hybrid probe only).
   bool hybrid = false;
   double fluid_fraction = 0;
   std::uint64_t zoom_events = 0;
   std::uint64_t credited_packets = 0;
 };
 
-struct JsonResult {
+struct Timed {
   std::string name;
   std::uint64_t events = 0;
   double best_wall_ms = 0;
@@ -191,8 +155,8 @@ struct JsonResult {
 /// Runs `body` (which returns the run's outcome) once to warm up, then
 /// `reps` times; reports the fastest run.
 template <typename Body>
-JsonResult measure(const std::string& name, int reps, Body body) {
-  JsonResult r;
+Timed measure(const std::string& name, int reps, Body body) {
+  Timed r;
   r.name = name;
   body();  // warm-up: page in code, size allocator pools
   for (int i = 0; i < reps; ++i) {
@@ -209,76 +173,6 @@ JsonResult measure(const std::string& name, int reps, Body body) {
   }
   r.events_per_sec = static_cast<double>(r.events) / (r.best_wall_ms / 1e3);
   return r;
-}
-
-RunOutcome run_ring() {
-  RingDeadlockParams p;
-  Scenario s = make_ring_deadlock(p);
-  s.sim->run_until(2_ms);
-  benchmark::DoNotOptimize(s.net->total_queued_bytes());
-  return RunOutcome{s.sim->counters()};
-}
-
-RunOutcome run_routing_loop() {
-  // Below the Eq. 3 boundary: packets circulate until TTL expiry forever,
-  // the sustained per-packet/per-event steady state the refactor targets.
-  RoutingLoopParams p;
-  p.inject = Rate::gbps(4);
-  Scenario s = make_routing_loop(p);
-  s.sim->run_until(4_ms);
-  benchmark::DoNotOptimize(s.net->total_queued_bytes());
-  return RunOutcome{s.sim->counters()};
-}
-
-RunOutcome run_routing_loop_probe() {
-  // The routing-loop steady state with the always-on dcdl::probe attached
-  // at its default 100 us interval — hop-wait/latency histograms, PFC pause
-  // tracking, per-link utilization accumulators, the sampler event stream.
-  // Compare against routing_loop, which differs only in this instrument;
-  // the acceptance budget is < 5% events/sec (the probe also rides the
-  // shared >10% --baseline regression gate).
-  RoutingLoopParams p;
-  p.inject = Rate::gbps(4);
-  Scenario s = make_routing_loop(p);
-  probe::RunProbe rp(*s.net);
-  rp.start(*s.sim, 4_ms);
-  s.sim->run_until(4_ms);
-  rp.finalize();
-  benchmark::DoNotOptimize(rp.fct().count());
-  benchmark::DoNotOptimize(s.net->total_queued_bytes());
-  return RunOutcome{s.sim->counters()};
-}
-
-RunOutcome run_routing_loop_watch() {
-  // The routing-loop steady state with the always-on dcdl::watch
-  // early-warning layer attached at its default 100 us tick — wait-for
-  // graph snapshots, pause-pressure/slope signals, the rule engine, and
-  // the periodic risk reassessment. Compare against routing_loop, which
-  // differs only in this instrument; the acceptance budget is < 5%
-  // events/sec (the watch also rides the shared >10% --baseline gate).
-  RoutingLoopParams p;
-  p.inject = Rate::gbps(4);
-  Scenario s = make_routing_loop(p);
-  watch::RunWatch rw(*s.net, s.flows, {});
-  rw.start(*s.sim, 4_ms);
-  s.sim->run_until(4_ms);
-  benchmark::DoNotOptimize(rw.engine().fires(watch::Severity::kWarn));
-  benchmark::DoNotOptimize(s.net->total_queued_bytes());
-  return RunOutcome{s.sim->counters()};
-}
-
-RunOutcome run_routing_loop_dp() {
-  // The same steady state with the dataplane pipeline armed in its
-  // detect-only policy: every forwarded packet takes the tag stage and
-  // every Xoff carries a PauseTag, isolating the pipeline's hot-path cost
-  // (compare against routing_loop, which differs only in this knob).
-  RoutingLoopParams p;
-  p.inject = Rate::gbps(4);
-  p.dataplane.policy = dataplane::RecoveryPolicy::kDetect;
-  Scenario s = make_routing_loop(p);
-  s.sim->run_until(4_ms);
-  benchmark::DoNotOptimize(s.net->total_queued_bytes());
-  return RunOutcome{s.sim->counters()};
 }
 
 /// Fat-tree permutation at `shards` shards (0 = legacy engine). The
@@ -401,54 +295,8 @@ RunOutcome run_fat_tree_localized(int k, Time run_for, hybrid::Mode mode) {
   return out;
 }
 
-RunOutcome run_event_churn() {
-  Simulator sim;
-  std::int64_t fired = 0;
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 100'000; ++i) {
-      sim.schedule_in(Time{(i * 7919) % 1'000'000 + 1},
-                      [&fired] { ++fired; });
-    }
-    sim.run();
-  }
-  benchmark::DoNotOptimize(fired);
-  return RunOutcome{sim.counters()};
-}
-
-std::vector<JsonResult> run_suite() {
-  constexpr int kReps = 5;
-  std::vector<JsonResult> results;
-  results.push_back(measure("ring", kReps, run_ring));
-  results.push_back(measure("routing_loop", kReps, run_routing_loop));
-  results.push_back(
-      measure("routing_loop_probe", kReps, run_routing_loop_probe));
-  results.push_back(
-      measure("routing_loop_watch", kReps, run_routing_loop_watch));
-  results.push_back(measure("routing_loop_dp", kReps, run_routing_loop_dp));
-  results.push_back(measure("fat_tree", kReps,
-                            [] { return run_fat_tree(0, 4, 500_us); }));
-  results.push_back(measure("fat_tree_s2", kReps,
-                            [] { return run_fat_tree(2, 4, 500_us); }));
-  results.push_back(measure("fat_tree_s4", kReps,
-                            [] { return run_fat_tree(4, 4, 500_us); }));
-  {
-    JsonResult r = measure("fat_tree_local", kReps, [] {
-      return run_fat_tree_localized(8, 500_us, hybrid::Mode::kOff);
-    });
-    r.sim_ms = 0.5;
-    results.push_back(std::move(r));
-    r = measure("fat_tree_local_hy", kReps, [] {
-      return run_fat_tree_localized(8, 500_us, hybrid::Mode::kRisk);
-    });
-    r.sim_ms = 0.5;
-    results.push_back(std::move(r));
-  }
-  results.push_back(measure("event_churn", kReps, run_event_churn));
-  return results;
-}
-
-void print_suite(const std::vector<JsonResult>& results) {
-  for (const JsonResult& r : results) {
+void print_suite(const std::vector<Timed>& results) {
+  for (const Timed& r : results) {
     std::printf("%-14s %10llu events  %8.2f ms  %12.0f events/sec  "
                 "(slab %zu, heap hw %zu, cancelled %llu)\n",
                 r.name.c_str(), static_cast<unsigned long long>(r.events),
@@ -481,149 +329,6 @@ void print_suite(const std::vector<JsonResult>& results) {
   }
 }
 
-int run_json_mode(const std::string& path) {
-  const std::vector<JsonResult> results = run_suite();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_perf: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"dcdl.bench_perf.v7\",\n");
-  std::fprintf(f, "  \"scenarios\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const JsonResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"events\": %llu, "
-                 "\"best_wall_ms\": %.3f, \"events_per_sec\": %.0f, "
-                 "\"events_cancelled\": %llu, \"slab_slots\": %zu, "
-                 "\"slab_grows\": %llu, \"heap_high_water\": %zu",
-                 r.name.c_str(),
-                 static_cast<unsigned long long>(r.events), r.best_wall_ms,
-                 r.events_per_sec,
-                 static_cast<unsigned long long>(r.outcome.counters.cancelled),
-                 r.outcome.counters.slab_slots,
-                 static_cast<unsigned long long>(r.outcome.counters.slab_grows),
-                 r.outcome.counters.heap_high_water);
-    if (r.outcome.shards > 0) {
-      std::fprintf(
-          f,
-          ", \"shards\": %d, \"windows\": %llu, \"device_passes\": %llu, "
-          "\"stalled_windows\": %llu, \"cross_shard_events\": %llu, "
-          "\"shard_events\": [",
-          r.outcome.shards, static_cast<unsigned long long>(r.outcome.windows),
-          static_cast<unsigned long long>(r.outcome.device_passes),
-          static_cast<unsigned long long>(r.outcome.stalled_windows),
-          static_cast<unsigned long long>(r.outcome.cross_shard_events));
-      for (std::size_t s = 0; s < r.outcome.shard_events.size(); ++s) {
-        std::fprintf(f, "%s%llu", s > 0 ? ", " : "",
-                     static_cast<unsigned long long>(
-                         r.outcome.shard_events[s]));
-      }
-      std::fprintf(f, "]");
-    }
-    if (r.sim_ms > 0) {
-      std::fprintf(f, ", \"sim_ms\": %.3f, \"sim_ms_per_sec\": %.2f",
-                   r.sim_ms, r.sim_ms / (r.best_wall_ms / 1e3));
-    }
-    if (r.outcome.hybrid) {
-      std::fprintf(f,
-                   ", \"hybrid\": true, \"fluid_fraction\": %.4f, "
-                   "\"zoom_events\": %llu, \"credited_packets\": %llu",
-                   r.outcome.fluid_fraction,
-                   static_cast<unsigned long long>(r.outcome.zoom_events),
-                   static_cast<unsigned long long>(
-                       r.outcome.credited_packets));
-    }
-    std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  print_suite(results);
-  std::printf("wrote %s\n", path.c_str());
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
-// --baseline mode: regression gate against a committed artifact.
-
-/// Pulls {name -> events_per_sec} out of a dcdl.bench_perf.v1/v2/v3 JSON
-/// file with a purpose-built scan (all schemas emit one scenario object per
-/// line with "name" before "events_per_sec").
-std::vector<std::pair<std::string, double>> parse_baseline(
-    const std::string& text) {
-  std::vector<std::pair<std::string, double>> out;
-  std::size_t pos = 0;
-  while ((pos = text.find("\"name\"", pos)) != std::string::npos) {
-    const std::size_t open = text.find('"', pos + 6 + 1);
-    if (open == std::string::npos) break;
-    const std::size_t close = text.find('"', open + 1);
-    if (close == std::string::npos) break;
-    const std::string name = text.substr(open + 1, close - open - 1);
-    const std::size_t eps = text.find("\"events_per_sec\"", close);
-    if (eps == std::string::npos) break;
-    const std::size_t colon = text.find(':', eps);
-    if (colon == std::string::npos) break;
-    out.emplace_back(name, std::strtod(text.c_str() + colon + 1, nullptr));
-    pos = close;
-  }
-  return out;
-}
-
-int run_baseline_mode(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_perf: cannot read baseline %s\n",
-                 path.c_str());
-    return 1;
-  }
-  std::string text;
-  char buf[4096];
-  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
-    text.append(buf, n);
-  }
-  std::fclose(f);
-  const auto baseline = parse_baseline(text);
-  if (baseline.empty()) {
-    std::fprintf(stderr, "bench_perf: no scenarios found in %s\n",
-                 path.c_str());
-    return 1;
-  }
-
-  const std::vector<JsonResult> results = run_suite();
-  print_suite(results);
-
-  constexpr double kRegressionTolerance = 0.10;
-  int regressions = 0;
-  for (const auto& [name, base_eps] : baseline) {
-    const JsonResult* cur = nullptr;
-    for (const JsonResult& r : results) {
-      if (r.name == name) { cur = &r; break; }
-    }
-    if (cur == nullptr) {
-      std::printf("%-14s MISSING (in baseline, not in suite)\n",
-                  name.c_str());
-      ++regressions;
-      continue;
-    }
-    const double ratio = base_eps > 0 ? cur->events_per_sec / base_eps : 1.0;
-    const bool regressed = ratio < 1.0 - kRegressionTolerance;
-    std::printf("%-14s %12.0f -> %12.0f events/sec  %+6.1f%%  %s\n",
-                name.c_str(), base_eps, cur->events_per_sec,
-                (ratio - 1.0) * 100, regressed ? "REGRESSED" : "ok");
-    regressions += regressed ? 1 : 0;
-  }
-  if (regressions > 0) {
-    std::fprintf(stderr,
-                 "bench_perf: %d scenario(s) regressed more than %.0f%% vs "
-                 "%s\n",
-                 regressions, kRegressionTolerance * 100, path.c_str());
-    return 1;
-  }
-  std::printf("bench_perf: no events/sec regression beyond %.0f%% vs %s\n",
-              kRegressionTolerance * 100, path.c_str());
-  return 0;
-}
-
 // ---------------------------------------------------------------------------
 // --shards mode: sharded-scaling probe.
 
@@ -638,9 +343,9 @@ int run_shards_mode(int shards, int k, double sim_ms) {
   constexpr int kReps = 3;
   std::printf("fat-tree k=%d, %.1f simulated ms, best of %d:\n", k, sim_ms,
               kReps);
-  const JsonResult one = measure(
+  const Timed one = measure(
       "fat_tree_s1", kReps, [k, run_for] { return run_fat_tree(1, k, run_for); });
-  const JsonResult n = measure(
+  const Timed n = measure(
       "fat_tree_s" + std::to_string(shards), kReps,
       [shards, k, run_for] { return run_fat_tree(shards, k, run_for); });
   print_suite({one, n});
@@ -662,11 +367,11 @@ int run_hybrid_mode(int k, double sim_ms) {
   std::printf(
       "fat-tree k=%d localized congestion, %.1f simulated ms, best of %d:\n",
       k, sim_ms, kReps);
-  JsonResult off = measure("local_packet", kReps, [k, run_for] {
+  Timed off = measure("local_packet", kReps, [k, run_for] {
     return run_fat_tree_localized(k, run_for, hybrid::Mode::kOff);
   });
   off.sim_ms = sim_ms;
-  JsonResult hy = measure("local_hybrid", kReps, [k, run_for] {
+  Timed hy = measure("local_hybrid", kReps, [k, run_for] {
     return run_fat_tree_localized(k, run_for, hybrid::Mode::kRisk);
   });
   hy.sim_ms = sim_ms;
@@ -683,21 +388,6 @@ int main(int argc, char** argv) {
   double sim_ms = 1.0;
   bool shards_mode = false, hybrid_mode = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      const std::string path =
-          i + 1 < argc && argv[i + 1][0] != '-' ? argv[i + 1]
-                                                : "BENCH_perf.json";
-      return run_json_mode(path);
-    }
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      return run_json_mode(argv[i] + 7);
-    }
-    if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      return run_baseline_mode(argv[i + 1]);
-    }
-    if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
-      return run_baseline_mode(argv[i] + 11);
-    }
     if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       shards_mode = true;
       shards = std::atoi(argv[++i]);

@@ -410,7 +410,7 @@ int main(int argc, char** argv) {
 
   if (metrics) {
     std::printf("\nmetrics:\n");
-    for (const auto& [name, value] : run_telemetry.snapshot().flatten()) {
+    for (const auto& [name, value] : run_telemetry.snapshot()) {
       std::printf("  %-40s %.6g\n", name.c_str(), value);
     }
     std::printf("\nprobe summary:\n");

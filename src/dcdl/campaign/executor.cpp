@@ -249,7 +249,7 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
     }
     // Telemetry snapshot at stop time: same instant as goodput and
     // pause_assertions, before the drain phase perturbs the queues.
-    rec.telemetry = run_telemetry.snapshot().flatten();
+    rec.telemetry = run_telemetry.snapshot();
     // Probe summary and the timeseries artifact are captured at the same
     // stop instant, so the JSONL histograms match the record's probe.*
     // values exactly (the hooks would keep accumulating through the drain).
@@ -300,14 +300,8 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
       causal.deadlock_at_ps = monitor.detected_at()->ps();
     }
     const forensics::CascadeReport cascade = forensics::analyze(causal);
-    {
-      telemetry::MetricsRegistry forensics_reg;
-      const forensics::CascadeMetricIds ids =
-          forensics::register_cascade_metrics(forensics_reg);
-      forensics::record_cascade(forensics_reg, ids, cascade);
-      for (auto& kv : forensics_reg.snapshot().flatten()) {
-        rec.telemetry.push_back(std::move(kv));
-      }
+    for (auto& kv : forensics::cascade_metrics(cascade)) {
+      rec.telemetry.push_back(std::move(kv));
     }
 
     if (recorder != nullptr) {

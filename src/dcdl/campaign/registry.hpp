@@ -13,12 +13,10 @@
 #include <vector>
 
 #include "dcdl/campaign/param.hpp"
+#include "dcdl/common/metric_sink.hpp"
 #include "dcdl/scenarios/scenario.hpp"
 
 namespace dcdl::campaign {
-
-/// Ordered list of named scenario-specific metrics emitted per run.
-using MetricSink = std::vector<std::pair<std::string, double>>;
 
 struct RunRecord;  // result.hpp
 

@@ -84,19 +84,20 @@ struct RunRecord {
   MetricSink metrics;
   /// Simulator events executed (deterministic for a given spec+seed).
   std::uint64_t events = 0;
-  /// The uniform telemetry snapshot (flattened name -> value, registration
-  /// order), sampled at stop time — see telemetry::RunTelemetry. Like every
+  /// The uniform telemetry set in schema order, sampled at stop time (see
+  /// telemetry::RunTelemetry), followed by the forensics.* cascade metrics
+  /// over the run plus drain (see forensics::cascade_metrics). Like every
   /// serialized field, deterministic for a given spec+seed.
-  std::vector<std::pair<std::string, double>> telemetry;
+  MetricSink telemetry;
   /// Time-series probe summary (schema v5): series max/mean and latency
   /// histogram percentiles, flattened name -> value in emission order.
   /// Captured at the same stop instant as `telemetry`; JSON-only (the CSV
   /// column set is unchanged).
-  std::vector<std::pair<std::string, double>> probe;
+  MetricSink probe;
   /// Early-warning alert summary (schema v6): dcdl::watch's digest plus
   /// "lead_ms" when both a critical alert and a monitor confirmation
   /// happened. Same stop-instant capture and JSON-only story as `probe`.
-  std::vector<std::pair<std::string, double>> alerts;
+  MetricSink alerts;
 
   // Wall-clock accounting — excluded from artifacts by default.
   double wall_ms = 0;

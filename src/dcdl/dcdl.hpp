@@ -6,6 +6,7 @@
 
 #include "dcdl/common/flags.hpp"
 #include "dcdl/common/log.hpp"
+#include "dcdl/common/metric_sink.hpp"
 #include "dcdl/common/rng.hpp"
 #include "dcdl/common/units.hpp"
 
@@ -57,7 +58,6 @@
 #include "dcdl/stats/latency.hpp"
 #include "dcdl/stats/pause_log.hpp"
 #include "dcdl/stats/sampler.hpp"
-#include "dcdl/stats/throughput.hpp"
 
 #include "dcdl/telemetry/telemetry.hpp"
 

@@ -1,26 +1,10 @@
 #include "dcdl/forensics/metrics.hpp"
 
+#include <algorithm>
+
 namespace dcdl::forensics {
 
-CascadeMetricIds register_cascade_metrics(telemetry::MetricsRegistry& reg) {
-  CascadeMetricIds ids;
-  ids.pause_spans = reg.gauge("forensics.pause_spans");
-  ids.cascades = reg.gauge("forensics.cascades");
-  ids.max_depth = reg.gauge("forensics.cascade_max_depth");
-  ids.max_width = reg.gauge("forensics.cascade_max_width");
-  ids.triggers_routing_loop = reg.gauge("forensics.triggers.routing_loop");
-  ids.triggers_host_pause = reg.gauge("forensics.triggers.host_pause");
-  ids.triggers_congestion = reg.gauge("forensics.triggers.congestion");
-  ids.time_to_deadlock_ms = reg.gauge("forensics.time_to_deadlock_ms");
-  ids.fanout = reg.histogram("forensics.fanout", {0, 1, 2, 4, 8, 16});
-  return ids;
-}
-
-void record_cascade(telemetry::MetricsRegistry& reg,
-                    const CascadeMetricIds& ids,
-                    const CascadeReport& report) {
-  reg.set(ids.pause_spans, static_cast<double>(report.spans.size()));
-  reg.set(ids.cascades, static_cast<double>(report.components.size()));
+MetricSink cascade_metrics(const CascadeReport& report) {
   int max_depth = 0, max_width = 0;
   int loops = 0, hosts = 0, congestion = 0;
   for (const CascadeComponent& c : report.components) {
@@ -32,18 +16,27 @@ void record_cascade(telemetry::MetricsRegistry& reg,
       case TriggerKind::kCongestionCascade: ++congestion; break;
     }
   }
-  reg.set(ids.max_depth, max_depth);
-  reg.set(ids.max_width, max_width);
-  reg.set(ids.triggers_routing_loop, loops);
-  reg.set(ids.triggers_host_pause, hosts);
-  reg.set(ids.triggers_congestion, congestion);
-  reg.set(ids.time_to_deadlock_ms,
-          report.time_to_deadlock_ps < 0
-              ? -1.0
-              : static_cast<double>(report.time_to_deadlock_ps) / 1e9);
+  double effects = 0;
   for (const PauseSpan& s : report.spans) {
-    reg.observe(ids.fanout, static_cast<double>(s.effects.size()));
+    effects += static_cast<double>(s.effects.size());
   }
+  const auto spans = static_cast<double>(report.spans.size());
+  return {
+      {"forensics.pause_spans", spans},
+      {"forensics.cascades", static_cast<double>(report.components.size())},
+      {"forensics.cascade_max_depth", max_depth},
+      {"forensics.cascade_max_width", max_width},
+      {"forensics.triggers.routing_loop", loops},
+      {"forensics.triggers.host_pause", hosts},
+      {"forensics.triggers.congestion", congestion},
+      {"forensics.time_to_deadlock_ms",
+       report.time_to_deadlock_ps < 0
+           ? -1.0
+           : static_cast<double>(report.time_to_deadlock_ps) / 1e9},
+      {"forensics.fanout.count", spans},
+      {"forensics.fanout.sum", effects},
+      {"forensics.fanout.mean", spans > 0 ? effects / spans : 0},
+  };
 }
 
 }  // namespace dcdl::forensics

@@ -1,33 +1,21 @@
-// Cascade metrics as MetricsRegistry entries, so every campaign RunRecord
-// (and any --metrics report) carries the forensic summary next to the
-// net.* / sim.* uniform set. Registration and recording both happen after
-// the measured window — nothing here runs on the simulation hot path.
+// Cascade metrics as the `forensics.*` metric list, so every campaign
+// RunRecord (and any --metrics report) carries the forensic summary next to
+// the net.* / sim.* uniform set. Computed after the measured window —
+// nothing here runs on the simulation hot path.
 #pragma once
 
+#include "dcdl/common/metric_sink.hpp"
 #include "dcdl/forensics/causality.hpp"
-#include "dcdl/telemetry/metrics.hpp"
 
 namespace dcdl::forensics {
 
-struct CascadeMetricIds {
-  telemetry::GaugeId pause_spans;       ///< DAG nodes in the window
-  telemetry::GaugeId cascades;          ///< weakly-connected components
-  telemetry::GaugeId max_depth;         ///< deepest cause chain
-  telemetry::GaugeId max_width;         ///< widest single depth level
-  telemetry::GaugeId triggers_routing_loop;
-  telemetry::GaugeId triggers_host_pause;
-  telemetry::GaugeId triggers_congestion;
-  /// Trigger assertion -> deadlock confirmation; -1 when no deadlock.
-  telemetry::GaugeId time_to_deadlock_ms;
-  /// Downstream pauses each span directly induced (pause-storm fan-out).
-  telemetry::HistogramId fanout;
-};
-
-/// Registers the `forensics.*` set (idempotent per registry).
-CascadeMetricIds register_cascade_metrics(telemetry::MetricsRegistry& reg);
-
-/// Writes one report's summary into the registered slots.
-void record_cascade(telemetry::MetricsRegistry& reg,
-                    const CascadeMetricIds& ids, const CascadeReport& report);
+/// One report's summary, in schema order: pause_spans (DAG nodes),
+/// cascades (weakly-connected components), cascade_max_depth (deepest cause
+/// chain), cascade_max_width (widest single depth level),
+/// triggers.{routing_loop,host_pause,congestion}, time_to_deadlock_ms
+/// (trigger assertion -> deadlock confirmation; -1 when no deadlock), and
+/// fanout.{count,sum,mean} (downstream pauses each span directly induced —
+/// the pause-storm fan-out).
+MetricSink cascade_metrics(const CascadeReport& report);
 
 }  // namespace dcdl::forensics

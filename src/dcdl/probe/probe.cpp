@@ -243,8 +243,8 @@ std::vector<RunProbe::NamedHist> RunProbe::histograms() const {
           {"dp_recover", &dp_recover_}};
 }
 
-std::vector<std::pair<std::string, double>> RunProbe::summary() const {
-  std::vector<std::pair<std::string, double>> out;
+MetricSink RunProbe::summary() const {
+  MetricSink out;
   out.emplace_back("ticks", static_cast<double>(series_.total_ticks()));
   const auto series_stats = [&](const char* label, std::uint32_t id) {
     out.emplace_back(std::string(label) + ".max", series_.series_max(id));

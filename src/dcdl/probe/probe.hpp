@@ -37,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "dcdl/common/metric_sink.hpp"
 #include "dcdl/common/units.hpp"
 #include "dcdl/device/network.hpp"
 #include "dcdl/probe/histogram.hpp"
@@ -133,7 +134,7 @@ class RunProbe {
   /// Deterministic scalar digest for campaign records: tick count, series
   /// aggregates, and count/mean/p50/p90/p99/p999/max (microseconds) per
   /// non-empty histogram.
-  std::vector<std::pair<std::string, double>> summary() const;
+  MetricSink summary() const;
 
  private:
   void attach_hooks();

@@ -1,213 +1,65 @@
 #include "dcdl/telemetry/metrics.hpp"
 
-#include <stdexcept>
+#include <string>
 
 #include "dcdl/stats/hooks.hpp"
 
 namespace dcdl::telemetry {
 
-const char* to_string(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kCounter: return "counter";
-    case MetricKind::kGauge: return "gauge";
-    case MetricKind::kHistogram: return "histogram";
-  }
-  return "?";
-}
-
-std::uint32_t MetricsRegistry::register_name(const std::string& name,
-                                             MetricKind kind,
-                                             std::uint32_t index_if_new) {
-  if (const auto it = by_name_.find(name); it != by_name_.end()) {
-    const Entry& e = names_[it->second];
-    if (e.kind != kind) {
-      throw std::invalid_argument("metric '" + name + "' already registered "
-                                  "as a " + std::string(to_string(e.kind)));
-    }
-    return e.index;
-  }
-  by_name_[name] = static_cast<std::uint32_t>(names_.size());
-  names_.push_back(Entry{name, kind, index_if_new});
-  return index_if_new;
-}
-
-CounterId MetricsRegistry::counter(const std::string& name) {
-  const auto next = static_cast<std::uint32_t>(counters_.size());
-  const std::uint32_t idx =
-      register_name(name, MetricKind::kCounter, next);
-  if (idx == next) counters_.push_back(0);
-  return CounterId{idx};
-}
-
-GaugeId MetricsRegistry::gauge(const std::string& name) {
-  const auto next = static_cast<std::uint32_t>(gauges_.size());
-  const std::uint32_t idx = register_name(name, MetricKind::kGauge, next);
-  if (idx == next) gauges_.push_back(0);
-  return GaugeId{idx};
-}
-
-HistogramId MetricsRegistry::histogram(const std::string& name,
-                                       std::vector<double> bounds) {
-  for (std::size_t i = 1; i < bounds.size(); ++i) {
-    if (bounds[i] <= bounds[i - 1]) {
-      throw std::invalid_argument("histogram '" + name +
-                                  "' bounds must be strictly ascending");
-    }
-  }
-  const auto next = static_cast<std::uint32_t>(histograms_.size());
-  const std::uint32_t idx =
-      register_name(name, MetricKind::kHistogram, next);
-  if (idx == next) {
-    Histogram h;
-    h.buckets.assign(bounds.size() + 1, 0);
-    h.bounds = std::move(bounds);
-    histograms_.push_back(std::move(h));
-  } else if (histograms_[idx].bounds != bounds) {
-    throw std::invalid_argument("histogram '" + name +
-                                "' re-registered with different bounds");
-  }
-  return HistogramId{idx};
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot out;
-  out.items.reserve(names_.size());
-  for (const Entry& e : names_) {
-    MetricsSnapshot::Item item;
-    item.name = e.name;
-    item.kind = e.kind;
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        item.value = static_cast<double>(counters_[e.index]);
-        break;
-      case MetricKind::kGauge:
-        item.value = gauges_[e.index];
-        break;
-      case MetricKind::kHistogram: {
-        const Histogram& h = histograms_[e.index];
-        item.value = static_cast<double>(h.count);
-        item.sum = h.sum;
-        item.bounds = h.bounds;
-        item.buckets = h.buckets;
-        break;
-      }
-    }
-    out.items.push_back(std::move(item));
-  }
-  return out;
-}
-
-std::vector<std::pair<std::string, double>> MetricsSnapshot::flatten() const {
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(items.size());
-  for (const Item& item : items) {
-    if (item.kind == MetricKind::kHistogram) {
-      out.emplace_back(item.name + ".count", item.value);
-      out.emplace_back(item.name + ".sum", item.sum);
-      out.emplace_back(item.name + ".mean",
-                       item.value > 0 ? item.sum / item.value : 0);
-    } else {
-      out.emplace_back(item.name, item.value);
-    }
-  }
-  return out;
-}
-
-double MetricsSnapshot::value(const std::string& name, double fallback) const {
-  for (const auto& [n, v] : flatten()) {
-    if (n == name) return v;
-  }
-  return fallback;
-}
-
-RunMetricIds register_run_metrics(MetricsRegistry& reg) {
-  RunMetricIds ids;
-  ids.pfc_xoff = reg.counter("net.pfc_xoff_total");
-  ids.pfc_xon = reg.counter("net.pfc_xon_total");
-  ids.tx_starts = reg.counter("net.tx_start_total");
-  ids.delivered_packets = reg.counter("net.delivered_packets_total");
-  ids.delivered_bytes = reg.counter("net.delivered_bytes_total");
-  ids.cnp = reg.counter("net.cnp_total");
-  for (int r = 0; r < kNumDropReasons; ++r) {
-    ids.dropped[r] = reg.counter(
-        std::string("net.dropped_packets_total.") +
-        to_string(static_cast<DropReason>(r)));
-  }
-  // Packet-size buckets: 64B control frames through jumbo.
-  ids.delivered_size =
-      reg.histogram("net.delivered_packet_bytes", {64, 256, 1024, 4096, 9216});
-  ids.queued_bytes = reg.gauge("net.queued_bytes");
-  ids.sim_events_executed = reg.gauge("sim.events_executed");
-  ids.sim_events_scheduled = reg.gauge("sim.events_scheduled");
-  ids.sim_events_cancelled = reg.gauge("sim.events_cancelled");
-  ids.sim_events_pending = reg.gauge("sim.events_pending");
-  ids.sim_slab_slots = reg.gauge("sim.slab_slots");
-  ids.sim_slab_grows = reg.gauge("sim.slab_grows");
-  ids.sim_heap_high_water = reg.gauge("sim.heap_high_water");
-  return ids;
-}
-
-void attach_run_metrics(MetricsRegistry& reg, const RunMetricIds& ids,
-                        Network& net) {
-  Trace& t = net.trace();
-  MetricsRegistry* r = &reg;
-  stats::append_hook(
-      t.pfc_state,
-      [r, xoff = ids.pfc_xoff, xon = ids.pfc_xon](Time, NodeId, PortId,
-                                                  ClassId, bool paused) {
-        r->add(paused ? xoff : xon);
-      });
-  stats::append_hook(t.tx_start,
-                     [r, id = ids.tx_starts](Time, const Packet&, NodeId,
-                                             PortId) { r->add(id); });
-  stats::append_hook(
-      t.delivered,
-      [r, pkts = ids.delivered_packets, bytes = ids.delivered_bytes,
-       size = ids.delivered_size](Time, const Packet& pkt) {
-        r->add(pkts);
-        r->add(bytes, pkt.size_bytes);
-        r->observe(size, static_cast<double>(pkt.size_bytes));
-      });
-  // The closure captures every per-reason counter id: a missing capture
-  // here once routed kDataplaneReset drops into a value-initialized id —
-  // slot 0, i.e. net.pfc_xoff_total (regression-tested in test_telemetry).
-  stats::append_hook(
-      t.dropped,
-      [r, d0 = ids.dropped[0], d1 = ids.dropped[1], d2 = ids.dropped[2],
-       d3 = ids.dropped[3],
-       d4 = ids.dropped[4]](Time, const Packet&, NodeId, DropReason reason) {
-        const CounterId by_reason[kNumDropReasons] = {d0, d1, d2, d3, d4};
-        r->add(by_reason[static_cast<int>(reason)]);
-      });
-  stats::append_hook(t.cnp,
-                     [r, id = ids.cnp](Time, FlowId) { r->add(id); });
-}
-
-void sample_run_metrics(MetricsRegistry& reg, const RunMetricIds& ids,
-                        const Simulator& sim, const Network& net) {
-  const Simulator::Counters c = sim.counters();
-  reg.set(ids.queued_bytes, static_cast<double>(net.total_queued_bytes()));
-  reg.set(ids.sim_events_executed, static_cast<double>(c.executed));
-  reg.set(ids.sim_events_scheduled, static_cast<double>(c.scheduled));
-  reg.set(ids.sim_events_cancelled, static_cast<double>(c.cancelled));
-  reg.set(ids.sim_events_pending, static_cast<double>(c.pending));
-  reg.set(ids.sim_slab_slots, static_cast<double>(c.slab_slots));
-  reg.set(ids.sim_slab_grows, static_cast<double>(c.slab_grows));
-  reg.set(ids.sim_heap_high_water, static_cast<double>(c.heap_high_water));
-}
-
 RunTelemetry::RunTelemetry(Network& net) : net_(net) {
-  ids_ = register_run_metrics(reg_);
-  attach_run_metrics(reg_, ids_, net_);
+  Trace& t = net.trace();
+  RunCounters* c = &counters_;
+  stats::append_hook(t.pfc_state,
+                     [c](Time, NodeId, PortId, ClassId, bool paused) {
+                       ++(paused ? c->pfc_xoff : c->pfc_xon);
+                     });
+  stats::append_hook(t.tx_start, [c](Time, const Packet&, NodeId, PortId) {
+    ++c->tx_starts;
+  });
+  stats::append_hook(t.delivered, [c](Time, const Packet& pkt) {
+    ++c->delivered_packets;
+    c->delivered_bytes += pkt.size_bytes;
+  });
+  stats::append_hook(t.dropped,
+                     [c](Time, const Packet&, NodeId, DropReason reason) {
+                       ++c->dropped[static_cast<int>(reason)];
+                     });
+  stats::append_hook(t.cnp, [c](Time, FlowId) { ++c->cnp; });
 }
 
-void RunTelemetry::finalize() {
-  sample_run_metrics(reg_, ids_, net_.sim(), net_);
-}
-
-MetricsSnapshot RunTelemetry::snapshot() {
-  finalize();
-  return reg_.snapshot();
+MetricSink RunTelemetry::snapshot() const {
+  const auto d = [](std::uint64_t v) { return static_cast<double>(v); };
+  const RunCounters& c = counters_;
+  MetricSink out;
+  out.emplace_back("net.pfc_xoff_total", d(c.pfc_xoff));
+  out.emplace_back("net.pfc_xon_total", d(c.pfc_xon));
+  out.emplace_back("net.tx_start_total", d(c.tx_starts));
+  out.emplace_back("net.delivered_packets_total", d(c.delivered_packets));
+  out.emplace_back("net.delivered_bytes_total", d(c.delivered_bytes));
+  out.emplace_back("net.cnp_total", d(c.cnp));
+  for (int r = 0; r < kNumDropReasons; ++r) {
+    out.emplace_back(std::string("net.dropped_packets_total.") +
+                         to_string(static_cast<DropReason>(r)),
+                     d(c.dropped[r]));
+  }
+  // Delivered packet size: count, sum and mean of every delivered packet.
+  const double pkts = d(c.delivered_packets);
+  const double bytes = d(c.delivered_bytes);
+  out.emplace_back("net.delivered_packet_bytes.count", pkts);
+  out.emplace_back("net.delivered_packet_bytes.sum", bytes);
+  out.emplace_back("net.delivered_packet_bytes.mean",
+                   pkts > 0 ? bytes / pkts : 0);
+  out.emplace_back("net.queued_bytes",
+                   static_cast<double>(net_.total_queued_bytes()));
+  const Simulator::Counters s = net_.sim().counters();
+  out.emplace_back("sim.events_executed", d(s.executed));
+  out.emplace_back("sim.events_scheduled", d(s.scheduled));
+  out.emplace_back("sim.events_cancelled", d(s.cancelled));
+  out.emplace_back("sim.events_pending", d(s.pending));
+  out.emplace_back("sim.slab_slots", d(s.slab_slots));
+  out.emplace_back("sim.slab_grows", d(s.slab_grows));
+  out.emplace_back("sim.heap_high_water", d(s.heap_high_water));
+  return out;
 }
 
 }  // namespace dcdl::telemetry

@@ -182,8 +182,8 @@ void RunWatch::tick(Time t) {
   if (on_tick_) on_tick_(t, *this);
 }
 
-std::vector<std::pair<std::string, double>> RunWatch::summary() const {
-  std::vector<std::pair<std::string, double>> out;
+MetricSink RunWatch::summary() const {
+  MetricSink out;
   out.emplace_back("ticks", static_cast<double>(ticks_));
   out.emplace_back("fired.info",
                    static_cast<double>(engine_->fires(Severity::kInfo)));

@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "dcdl/analysis/risk.hpp"
+#include "dcdl/common/metric_sink.hpp"
 #include "dcdl/common/units.hpp"
 #include "dcdl/device/network.hpp"
 #include "dcdl/probe/probe.hpp"
@@ -114,7 +115,7 @@ class RunWatch {
   /// Deterministic scalar digest for campaign records: tick count, emitted
   /// fire counts by severity, first-fire times, dedup/overflow counters,
   /// per-rule fire counts, and per-signal maxima.
-  std::vector<std::pair<std::string, double>> summary() const;
+  MetricSink summary() const;
 
  private:
   void tick(Time t);

@@ -542,18 +542,21 @@ TEST(MetricsTest, CascadeSummaryLandsInTheRegistry) {
   c.in.deadlock_at_ps = 5'000'000;
   const CascadeReport report = analyze(c.in);
 
-  telemetry::MetricsRegistry reg;
-  const CascadeMetricIds ids = register_cascade_metrics(reg);
-  record_cascade(reg, ids, report);
-  const telemetry::MetricsSnapshot snap = reg.snapshot();
-  EXPECT_DOUBLE_EQ(snap.value("forensics.pause_spans"), 3);
-  EXPECT_DOUBLE_EQ(snap.value("forensics.cascades"), 1);
-  EXPECT_DOUBLE_EQ(snap.value("forensics.cascade_max_depth"), 2);
-  EXPECT_DOUBLE_EQ(snap.value("forensics.cascade_max_width"), 1);
-  EXPECT_DOUBLE_EQ(snap.value("forensics.triggers.congestion"), 1);
-  EXPECT_DOUBLE_EQ(snap.value("forensics.triggers.routing_loop"), 0);
-  EXPECT_DOUBLE_EQ(snap.value("forensics.time_to_deadlock_ms"), 4e6 / 1e9);
-  EXPECT_DOUBLE_EQ(snap.value("forensics.fanout.count"), 3);
+  const MetricSink metrics = cascade_metrics(report);
+  const auto value = [&metrics](const std::string& name) {
+    for (const auto& [n, v] : metrics) {
+      if (n == name) return v;
+    }
+    return -1.0;
+  };
+  EXPECT_DOUBLE_EQ(value("forensics.pause_spans"), 3);
+  EXPECT_DOUBLE_EQ(value("forensics.cascades"), 1);
+  EXPECT_DOUBLE_EQ(value("forensics.cascade_max_depth"), 2);
+  EXPECT_DOUBLE_EQ(value("forensics.cascade_max_width"), 1);
+  EXPECT_DOUBLE_EQ(value("forensics.triggers.congestion"), 1);
+  EXPECT_DOUBLE_EQ(value("forensics.triggers.routing_loop"), 0);
+  EXPECT_DOUBLE_EQ(value("forensics.time_to_deadlock_ms"), 4e6 / 1e9);
+  EXPECT_DOUBLE_EQ(value("forensics.fanout.count"), 3);
 }
 
 TEST(MetricsTest, ExecutorAppendsForensicsToEveryRecord) {

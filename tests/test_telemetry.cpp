@@ -1,10 +1,13 @@
-// dcdl::telemetry: flight-recorder ring semantics, metrics registry
-// behaviour, exporter format guarantees, and the deadlock post-mortem path.
+// dcdl::telemetry: flight-recorder ring semantics, the per-run metric set
+// and its campaign schema, exporter format guarantees, and the deadlock
+// post-mortem path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dcdl/analysis/deadlock.hpp"
@@ -124,84 +127,20 @@ TEST(FlightRecorderTest, AttachOptionsMaskCategories) {
 
 // --------------------------------------------------------------- metrics
 
-TEST(MetricsRegistryTest, CountersGaugesHistograms) {
-  MetricsRegistry reg;
-  const CounterId c = reg.counter("c");
-  const GaugeId g = reg.gauge("g");
-  const HistogramId h = reg.histogram("h", {10, 100});
-
-  reg.add(c);
-  reg.add(c, 41);
-  reg.set(g, -2.5);
-  reg.observe(h, 5);     // bucket 0 (<= 10)
-  reg.observe(h, 10);    // bucket 0 (inclusive upper bound)
-  reg.observe(h, 50);    // bucket 1
-  reg.observe(h, 1000);  // overflow bucket
-
-  EXPECT_EQ(reg.counter_value(c), 42u);
-  EXPECT_DOUBLE_EQ(reg.gauge_value(g), -2.5);
-  EXPECT_EQ(reg.histogram_count(h), 4u);
-
-  const MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.items.size(), 3u);
-  EXPECT_EQ(snap.items[0].name, "c");
-  EXPECT_EQ(snap.items[2].kind, MetricKind::kHistogram);
-  EXPECT_EQ(snap.items[2].buckets, (std::vector<std::uint64_t>{2, 1, 1}));
-  EXPECT_DOUBLE_EQ(snap.items[2].sum, 1065);
-
-  const auto flat = snap.flatten();
-  EXPECT_DOUBLE_EQ(snap.value("c"), 42);
-  EXPECT_DOUBLE_EQ(snap.value("h.count"), 4);
-  EXPECT_DOUBLE_EQ(snap.value("h.mean"), 1065.0 / 4);
-  EXPECT_DOUBLE_EQ(snap.value("absent", -1), -1);
-  ASSERT_EQ(flat.size(), 5u);  // c, g, h.count, h.sum, h.mean
-}
-
-TEST(MetricsRegistryTest, HistogramBoundarySemanticsArePinned) {
-  // Pins the inclusive-upper-edge contract documented on observe(): a value
-  // exactly on a boundary belongs to the bucket that boundary closes, and
-  // the first value past the last bound saturates into overflow. These
-  // semantics are part of every exported artifact, so a change here is a
-  // schema change.
-  MetricsRegistry reg;
-  const HistogramId h = reg.histogram("h", {10, 100, 1000});
-  reg.observe(h, 9.999);   // bucket 0
-  reg.observe(h, 10);      // bucket 0: boundary closes the bucket below
-  reg.observe(h, 10.001);  // bucket 1: first value past the boundary
-  reg.observe(h, 100);     // bucket 1
-  reg.observe(h, 1000);    // bucket 2: the last bound is still inclusive
-  reg.observe(h, 1000.5);  // overflow
-  const MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.items[0].buckets, (std::vector<std::uint64_t>{2, 2, 1, 1}));
-  EXPECT_EQ(reg.histogram_count(h), 6u);
-  EXPECT_DOUBLE_EQ(snap.items[0].sum, 9.999 + 10 + 10.001 + 100 + 1000 +
-                                          1000.5);
-}
-
-TEST(MetricsRegistryTest, HistogramNonFiniteSaturatesIntoOverflow) {
-  // NaN/+inf/-inf land in the overflow bucket, count, and stay out of the
-  // sum — one bad sample must not poison the mean or leak into the
-  // smallest bucket via a false NaN comparison.
-  MetricsRegistry reg;
-  const HistogramId h = reg.histogram("h", {10, 100});
-  reg.observe(h, 5);
-  reg.observe(h, std::numeric_limits<double>::quiet_NaN());
-  reg.observe(h, std::numeric_limits<double>::infinity());
-  reg.observe(h, -std::numeric_limits<double>::infinity());
-  const MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.items[0].buckets, (std::vector<std::uint64_t>{1, 0, 3}));
-  EXPECT_EQ(reg.histogram_count(h), 4u);
-  EXPECT_DOUBLE_EQ(snap.items[0].sum, 5)
-      << "non-finite observations are excluded from the sum; the count/sum "
-         "discrepancy is the signal they happened";
+/// Value of `name` in an ordered metric list; `fallback` when absent.
+double value_of(const MetricSink& metrics, const std::string& name,
+                double fallback = 0) {
+  for (const auto& [n, v] : metrics) {
+    if (n == name) return v;
+  }
+  return fallback;
 }
 
 TEST(RunTelemetryTest, EveryDropReasonRoutesToItsOwnCounter) {
   // Regression: the dropped-hook closure once captured only four of the
-  // five per-reason counter ids, so kDataplaneReset drops incremented a
-  // value-initialized id — slot 0, net.pfc_xoff_total. Fire one drop of
-  // every reason and check each counter reads exactly 1 and the pfc
-  // counter stays 0.
+  // five per-reason counters, so kDataplaneReset drops incremented the
+  // wrong one — net.pfc_xoff_total. Fire one drop of every reason and check
+  // each counter reads exactly 1 and the pfc counter stays 0.
   RoutingLoopParams p;
   Scenario s = make_routing_loop(p);
   RunTelemetry telem(*s.net);
@@ -210,25 +149,13 @@ TEST(RunTelemetryTest, EveryDropReasonRoutesToItsOwnCounter) {
     s.net->trace().dropped(Time::zero(), pkt, NodeId{0},
                            static_cast<DropReason>(r));
   }
-  const MetricsRegistry& reg = telem.registry();
+  const RunCounters& c = telem.counters();
   for (int r = 0; r < kNumDropReasons; ++r) {
-    EXPECT_EQ(reg.counter_value(telem.ids().dropped[r]), 1u)
+    EXPECT_EQ(c.dropped[r], 1u)
         << "reason " << to_string(static_cast<DropReason>(r));
   }
-  EXPECT_EQ(reg.counter_value(telem.ids().pfc_xoff), 0u)
+  EXPECT_EQ(c.pfc_xoff, 0u)
       << "a drop must never bleed into the pfc_xoff counter";
-}
-
-TEST(MetricsRegistryTest, RegistrationIsIdempotentButKindChecked) {
-  MetricsRegistry reg;
-  const CounterId a = reg.counter("x");
-  const CounterId b = reg.counter("x");
-  EXPECT_EQ(a.v, b.v);
-  EXPECT_EQ(reg.size(), 1u);
-  EXPECT_THROW(reg.gauge("x"), std::invalid_argument);
-  reg.histogram("hist", {1, 2});
-  EXPECT_NO_THROW(reg.histogram("hist", {1, 2}));
-  EXPECT_THROW(reg.histogram("hist", {1, 2, 3}), std::invalid_argument);
 }
 
 TEST(RunTelemetryTest, CountsMatchIndependentObservers) {
@@ -241,15 +168,14 @@ TEST(RunTelemetryTest, CountsMatchIndependentObservers) {
 
   std::uint64_t xoff = 0, xon = 0;
   for (const auto& e : pauses.events()) (e.paused ? xoff : xon) += 1;
-  const MetricsRegistry& reg = telem.registry();
-  EXPECT_EQ(reg.counter_value(telem.ids().pfc_xoff), xoff);
-  EXPECT_EQ(reg.counter_value(telem.ids().pfc_xon), xon);
+  EXPECT_EQ(telem.counters().pfc_xoff, xoff);
+  EXPECT_EQ(telem.counters().pfc_xon, xon);
 
-  const MetricsSnapshot snap = telem.snapshot();
-  EXPECT_DOUBLE_EQ(snap.value("sim.events_executed"),
+  const auto snap = telem.snapshot();
+  EXPECT_DOUBLE_EQ(value_of(snap, "sim.events_executed"),
                    static_cast<double>(s.sim->events_executed()));
-  EXPECT_GT(snap.value("net.tx_start_total"), 0);
-  EXPECT_GT(snap.value("net.dropped_packets_total.ttl_expired"), 0)
+  EXPECT_GT(value_of(snap, "net.tx_start_total"), 0);
+  EXPECT_GT(value_of(snap, "net.dropped_packets_total.ttl_expired"), 0)
       << "the routing loop drains by TTL expiry";
 }
 
@@ -260,9 +186,145 @@ TEST(RunTelemetryTest, SnapshotIsDeterministicAcrossRuns) {
     Scenario s = make_routing_loop(p);
     RunTelemetry telem(*s.net);
     s.sim->run_until(2_ms);
-    return telem.snapshot().flatten();
+    return telem.snapshot();
   };
   EXPECT_EQ(run(), run());
+}
+
+/// Runs `scenario` once through the campaign executor with a finisher that
+/// samples independent observers at the same stop instant as the telemetry
+/// snapshot: the pause log, the devices' drop counters, and the destination
+/// hosts' sink statistics (as obs.* entries of RunRecord::metrics).
+campaign::RunRecord run_observed(const std::string& scenario,
+                                 const std::string& sets) {
+  using namespace dcdl::campaign;
+  ScenarioRegistry reg;
+  register_builtin_scenarios(reg);
+  ScenarioDef def = reg.at(scenario);
+  def.instrument = [inner = def.instrument](Scenario& s,
+                                            const ParamMap& pm) {
+    ScenarioDef::Finisher finish_inner;
+    if (inner) finish_inner = inner(s, pm);
+    auto pauses = std::make_shared<stats::PauseEventLog>(*s.net);
+    return ScenarioDef::Finisher(
+        [finish_inner, pauses, &s](const RunRecord& rec, MetricSink& out) {
+          if (finish_inner) finish_inner(rec, out);
+          double xoff = 0, xon = 0;
+          for (const auto& e : pauses->events()) (e.paused ? xoff : xon) += 1;
+          out.emplace_back("obs.xoff", xoff);
+          out.emplace_back("obs.xon", xon);
+          for (int r = 0; r < kNumDropReasons; ++r) {
+            const auto reason = static_cast<DropReason>(r);
+            out.emplace_back(std::string("obs.drops.") + to_string(reason),
+                             static_cast<double>(s.net->drops(reason)));
+          }
+          double packets = 0, bytes = 0;
+          for (const FlowSpec& f : s.flows) {
+            const Host& dst = s.net->host_at(f.dst_host);
+            packets += static_cast<double>(dst.delivered_packets(f.id));
+            bytes += static_cast<double>(dst.delivered_bytes(f.id));
+          }
+          out.emplace_back("obs.delivered_packets", packets);
+          out.emplace_back("obs.delivered_bytes", bytes);
+        });
+  };
+  reg.replace(std::move(def));
+
+  SweepSpec spec;
+  spec.scenario = scenario;
+  apply_sets(spec.base, sets);
+  spec.run_for = 3_ms;
+  const CampaignResult result = CampaignExecutor(reg, {}).run(expand(spec));
+  EXPECT_EQ(result.records.size(), 1u);
+  return result.records.front();
+}
+
+TEST(RunTelemetryTest, CampaignTelemetrySchemaIsPinned) {
+  // The exact ordered key list of RunRecord::telemetry is part of the
+  // campaign JSON schema: the net.* / sim.* uniform set, then forensics.*.
+  // Every count must equal an independent observer sampled at the same
+  // stop instant. The routing loop pauses and drops by TTL expiry but
+  // delivers nothing; the Fig. 4 four-switch run delivers and deadlocks.
+  const std::vector<std::string> expected = {
+      "net.pfc_xoff_total",
+      "net.pfc_xon_total",
+      "net.tx_start_total",
+      "net.delivered_packets_total",
+      "net.delivered_bytes_total",
+      "net.cnp_total",
+      "net.dropped_packets_total.ttl_expired",
+      "net.dropped_packets_total.no_route",
+      "net.dropped_packets_total.buffer_overflow",
+      "net.dropped_packets_total.watchdog_reset",
+      "net.dropped_packets_total.dataplane_reset",
+      "net.delivered_packet_bytes.count",
+      "net.delivered_packet_bytes.sum",
+      "net.delivered_packet_bytes.mean",
+      "net.queued_bytes",
+      "sim.events_executed",
+      "sim.events_scheduled",
+      "sim.events_cancelled",
+      "sim.events_pending",
+      "sim.slab_slots",
+      "sim.slab_grows",
+      "sim.heap_high_water",
+      "forensics.pause_spans",
+      "forensics.cascades",
+      "forensics.cascade_max_depth",
+      "forensics.cascade_max_width",
+      "forensics.triggers.routing_loop",
+      "forensics.triggers.host_pause",
+      "forensics.triggers.congestion",
+      "forensics.time_to_deadlock_ms",
+      "forensics.fanout.count",
+      "forensics.fanout.sum",
+      "forensics.fanout.mean",
+  };
+  const campaign::RunRecord loop =
+      run_observed("routing_loop", "inject=7");
+  const campaign::RunRecord fig4 =
+      run_observed("four_switch", "with_flow3=true");
+  for (const campaign::RunRecord* rec : {&loop, &fig4}) {
+    SCOPED_TRACE(rec->scenario);
+    ASSERT_EQ(rec->status, campaign::RunStatus::kOk) << rec->error;
+    std::vector<std::string> keys;
+    for (const auto& kv : rec->telemetry) keys.push_back(kv.first);
+    EXPECT_EQ(keys, expected);
+    EXPECT_EQ(std::set<std::string>(keys.begin(), keys.end()).size(),
+              keys.size())
+        << "no metric name may appear twice in a record";
+
+    const auto& t = rec->telemetry;
+    const auto& m = rec->metrics;
+    EXPECT_GT(value_of(m, "obs.xoff"), 0);
+    EXPECT_EQ(value_of(t, "net.pfc_xoff_total", -1), value_of(m, "obs.xoff"));
+    EXPECT_EQ(value_of(t, "net.pfc_xon_total", -1), value_of(m, "obs.xon"));
+    for (int r = 0; r < kNumDropReasons; ++r) {
+      const std::string reason = to_string(static_cast<DropReason>(r));
+      EXPECT_EQ(value_of(t, "net.dropped_packets_total." + reason, -1),
+                value_of(m, "obs.drops." + reason, -2))
+          << reason;
+    }
+    const double packets = value_of(m, "obs.delivered_packets", -2);
+    const double bytes = value_of(m, "obs.delivered_bytes", -2);
+    EXPECT_EQ(value_of(t, "net.delivered_packets_total", -1), packets);
+    EXPECT_EQ(value_of(t, "net.delivered_bytes_total", -1), bytes);
+    EXPECT_EQ(value_of(t, "net.delivered_packet_bytes.count", -1), packets);
+    EXPECT_EQ(value_of(t, "net.delivered_packet_bytes.sum", -1), bytes);
+    EXPECT_EQ(value_of(t, "net.delivered_packet_bytes.mean", -1),
+              packets > 0 ? bytes / packets : 0);
+    EXPECT_GT(value_of(t, "forensics.pause_spans"), 0);
+    EXPECT_EQ(value_of(t, "forensics.fanout.count", -1),
+              value_of(t, "forensics.pause_spans", -2))
+        << "one fan-out observation per pause span";
+  }
+  EXPECT_GT(value_of(loop.metrics, "obs.drops.ttl_expired"), 0)
+      << "the routing loop drains by TTL expiry";
+  EXPECT_EQ(value_of(loop.metrics, "obs.delivered_packets", -1), 0)
+      << "nothing leaves the loop";
+  EXPECT_GT(value_of(fig4.metrics, "obs.delivered_packets"), 0);
+  EXPECT_GT(value_of(fig4.telemetry, "forensics.time_to_deadlock_ms", -1), 0)
+      << "the Fig. 4 run deadlocks";
 }
 
 // -------------------------------------------------------------- exporters

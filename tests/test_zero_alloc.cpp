@@ -90,10 +90,10 @@ TEST(ZeroAlloc, RoutingLoopSteadyStateAllocatesNothing) {
 }
 
 TEST(ZeroAlloc, TelemetryAttachedSteadyStateAllocatesNothing) {
-  // The observability invariant: a fully attached metrics registry AND a
+  // The observability invariant: the fully attached run telemetry AND a
   // flight recorder subscribed to every trace slot (including per-packet
   // queue_bytes) must not add a single allocation to the steady state —
-  // record() is a masked store, counter bumps are dense vector ops.
+  // record() is a masked store, counter bumps are struct field increments.
   RoutingLoopParams p;
   p.inject = Rate::gbps(4);
   Scenario s = make_routing_loop(p);
@@ -115,8 +115,7 @@ TEST(ZeroAlloc, TelemetryAttachedSteadyStateAllocatesNothing) {
   ASSERT_GE(events, 100'000u) << "window too small to be meaningful";
   EXPECT_GT(recorder.total_recorded(), records_before)
       << "recorder saw no traffic; the measurement is vacuous";
-  EXPECT_GT(run_telemetry.registry().counter_value(
-                run_telemetry.ids().tx_starts), 0u);
+  EXPECT_GT(run_telemetry.counters().tx_starts, 0u);
   EXPECT_EQ(allocs, 0u) << "telemetry leaked heap allocations into the "
                            "steady state across " << events << " events";
 }

@@ -6,9 +6,10 @@
 #   tools/ci.sh --sanitizers [build-dir] # additionally chain asan.sh and
 #                                        # tsan.sh (their own build dirs)
 #   tools/ci.sh --full [build-dir]       # sanitizers + the sharded
-#                                        # determinism leg + the bench_perf
-#                                        # regression gate against the
-#                                        # committed BENCH_perf.json
+#                                        # determinism leg + the repository
+#                                        # benchmark gate (dcdlbench/run.py
+#                                        # --all) against the committed
+#                                        # dcdlbench/baseline.json
 #
 # A clean exit means the tree is committable: every gtest suite passed;
 # with --sanitizers the ASan+UBSan full suite and the TSan campaign +
@@ -19,9 +20,9 @@
 # shard counts and across campaign --jobs under TSan, the hybrid
 # fluid/packet engine re-proves artifact byte-identity across
 # --jobs x --shards and verdict agreement against the pure packet engine,
-# and the hot path held its events/sec baseline. The perf gate uses its own Release build dir
-# (build-perf) — sanitizer and default builds are not valid timing
-# baselines.
+# and the repository benchmark held its baseline. The benchmark builds into
+# its own directory (.bench_build/) — sanitizer builds are not valid
+# timing baselines.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -154,16 +155,13 @@ if [ "$perf" = 1 ]; then
   cmp "$tsan_dir/ts_j1s1/run_00001.alerts.jsonl" \
       "$tsan_dir/ts_j4s2/run_00001.alerts.jsonl"
 
-  # The perf gate below also covers the probe layer: routing_loop_probe
-  # (the same scenario with a 100 us sampler attached) and
-  # routing_loop_watch (sampler + the full early-warning stack: wait-for
-  # snapshots, rule engine, risk reassessment) sit in BENCH_perf.json, so
-  # observability overhead regressions trip the same >10% events/sec check
-  # as any other hot-path change.
-  perf_dir="$repo_root/build-perf"
-  cmake -B "$perf_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$perf_dir" --target bench_perf -j"$(nproc)"
-  "$perf_dir/bench/bench_perf" --baseline "$repo_root/BENCH_perf.json"
+  # Perf gate: the repository benchmark over every workload and seeds
+  # 1..10. It fails on a failed-operation fraction above the baseline's, or
+  # on a median worse than dcdlbench/baseline.json by more than the
+  # metric's bound in BENCHMARK.json (gated only against a baseline from a
+  # host with the same fingerprint). boundary_sweep runs with the always-on
+  # probe and watch, so observability overhead is inside the gated numbers.
+  python3 "$repo_root/dcdlbench/run.py" --all
 fi
 
 if [ "$sanitizers" = 1 ]; then
