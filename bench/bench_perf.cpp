@@ -119,6 +119,38 @@ void BM_EventQueueChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueChurn)->Unit(benchmark::kMillisecond);
 
+// Device-shaped churn: 3000 self-rescheduling timers, each cycling its next
+// delay through four fixed values (serialization, serialization plus
+// propagation, a pause refresh, a probe period) — the repeated delays the
+// event queue's FIFO lanes serve. BM_EventQueueChurn's scattered absolute
+// times exercise the heap instead.
+void BM_EventQueueFixedDelays(benchmark::State& state) {
+  struct Timer {
+    Simulator* sim;
+    std::int64_t* left;
+    std::uint32_t k;
+    void operator()() const {
+      static constexpr std::int64_t kDelayPs[] = {200'000, 1'200'000,
+                                                  13'100'000, 100'000'000};
+      if (--*left <= 0) return;
+      sim->schedule_in(Time{kDelayPs[k % 4]}, Timer{sim, left, k + 1});
+    }
+  };
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    Simulator sim;
+    std::int64_t left = 1'000'000;
+    for (std::uint32_t i = 0; i < 3000; ++i) {
+      sim.schedule_at(Time{std::int64_t{i} * 1000}, Timer{&sim, &left, i});
+    }
+    sim.run();
+    events += sim.events_executed();
+    benchmark::DoNotOptimize(events);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventQueueFixedDelays)->Unit(benchmark::kMillisecond);
+
 // ---------------------------------------------------------------------------
 // Timed fat-tree runs shared by the --shards and --hybrid probes.
 

@@ -1,5 +1,6 @@
 #include "dcdl/common/flags.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -29,18 +30,39 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
+void Flags::reject(const std::string& name, const char* expected,
+                   const std::string& value) const {
+  std::fprintf(stderr, "%s: --%s: expected %s, got '%s'\n", program_.c_str(),
+               name.c_str(), expected, value.c_str());
+  std::exit(2);
+}
+
 std::int64_t Flags::get_int(const std::string& name, std::int64_t default_value) {
   used_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const char* begin = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(begin, &end, 10);
+  if (end == begin || *end != '\0' || errno == ERANGE) {
+    reject(name, "an integer", it->second);
+  }
+  return v;
 }
 
 double Flags::get_double(const std::string& name, double default_value) {
   used_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  return std::strtod(it->second.c_str(), nullptr);
+  const char* begin = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(begin, &end);
+  if (end == begin || *end != '\0' || errno == ERANGE) {
+    reject(name, "a number", it->second);
+  }
+  return v;
 }
 
 bool Flags::get_bool(const std::string& name, bool default_value) {

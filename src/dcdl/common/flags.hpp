@@ -17,6 +17,9 @@ class Flags {
   /// use declare() up front.
   Flags(int argc, char** argv);
 
+  /// Numeric getters exit 2 with a named error ("prog: --name: expected an
+  /// integer, got 'abc'") on an empty value, trailing garbage, or a value
+  /// out of range.
   std::int64_t get_int(const std::string& name, std::int64_t default_value);
   double get_double(const std::string& name, double default_value);
   bool get_bool(const std::string& name, bool default_value);
@@ -38,6 +41,9 @@ class Flags {
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
+  [[noreturn]] void reject(const std::string& name, const char* expected,
+                           const std::string& value) const;
+
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> used_;
   std::vector<std::string> positional_;

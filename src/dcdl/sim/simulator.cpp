@@ -1,6 +1,7 @@
 #include "dcdl/sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "dcdl/common/contract.hpp"
 #include "dcdl/probe/profiler.hpp"
@@ -13,22 +14,30 @@ thread_local Simulator::Arena* Simulator::arena_stash_ = nullptr;
 Simulator::Simulator() {
   if (arena_scope_depth_ > 0 && arena_stash_ != nullptr) {
     heap_ = std::move(arena_stash_->heap);
+    chunks_ = std::move(arena_stash_->chunks);
+    cap_ = arena_stash_->cap;
     slab_ = std::move(arena_stash_->slab);
     free_slots_ = std::move(arena_stash_->free_slots);
     delete arena_stash_;
     arena_stash_ = nullptr;
+    for (std::size_t c = chunks_.size(); c-- > 0;) {
+      chunks_[c].next = free_chunk_;
+      free_chunk_ = static_cast<std::uint32_t>(c);
+    }
   }
 }
 
 Simulator::~Simulator() {
   if (arena_scope_depth_ > 0 && arena_stash_ == nullptr) {
     // clear() destroys pending closures but keeps vector capacity — the
-    // next Simulator on this thread starts with a warmed arena.
+    // next Simulator on this thread starts with a warmed arena. The chunk
+    // pool holds only POD entries and keeps its size; the adopter relinks
+    // all of it as free.
     heap_.clear();
     slab_.clear();
     free_slots_.clear();
-    arena_stash_ = new Arena{std::move(heap_), std::move(slab_),
-                             std::move(free_slots_)};
+    arena_stash_ = new Arena{std::move(heap_), std::move(chunks_), cap_,
+                             std::move(slab_), std::move(free_slots_)};
   }
 }
 
@@ -59,10 +68,71 @@ EventId Simulator::push_entry(Time at, std::uint64_t chan, std::uint64_t seq,
   s.live = true;
   ++live_;
   ++scheduled_;
-  heap_.push_back(Entry{at, chan, seq, slot, s.gen});
-  if (heap_.size() > heap_high_water_) heap_high_water_ = heap_.size();
-  std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
+  enqueue(Entry{at, chan, seq, slot, s.gen});
   return EventId{slot, s.gen};
+}
+
+void Simulator::enqueue(const Entry& e) {
+  if (entries_ == cap_) grow_queue();
+  if (++entries_ > heap_high_water_) heap_high_water_ = entries_;
+  // The lane already keyed to this delay, else the first empty lane.
+  const Time delay = e.at - now_;
+  int i = -1;
+  for (int k = 0; k < kLanes; ++k) {
+    if (lanes_[k].delay == delay) {
+      i = k;
+      break;
+    }
+    if (i < 0 && lanes_[k].count == 0) i = k;
+  }
+  // Append only past the tail, so the lane stays sorted; an earlier key (a
+  // same-time keyed event on a lower channel) takes the heap.
+  if (i >= 0 &&
+      (lanes_[i].count == 0 || EntryAfter{}(e, lane_tail(i)))) {
+    lanes_[i].delay = delay;  // re-keys an empty lane
+    append(i, e);
+    return;
+  }
+  // Sized for every pending entry on its first use after each growth, so a
+  // heap push never reallocates; runs whose delays all ride lanes (every
+  // device workload measured) never allocate it.
+  if (heap_.capacity() < cap_) heap_.reserve(cap_);
+  heap_.push_back(e);
+  std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
+}
+
+void Simulator::append(int i, const Entry& e) {
+  Lane& lane = lanes_[i];
+  if (lane.count == 0 || lane.tail == kChunk) {
+    std::uint32_t c = free_chunk_;
+    if (c != kNoChunk) {
+      free_chunk_ = chunks_[c].next;
+      chunks_[c].next = kNoChunk;
+    } else {
+      // Within the capacity grow_queue reserved: never reallocates.
+      DCDL_ASSERT(chunks_.size() < chunks_.capacity());
+      c = static_cast<std::uint32_t>(chunks_.size());
+      chunks_.emplace_back();
+    }
+    if (lane.count == 0) {
+      lane.head_chunk = c;
+      lane.head = 0;
+    } else {
+      chunks_[lane.tail_chunk].next = c;
+    }
+    lane.tail_chunk = c;
+    lane.tail = 0;
+  }
+  chunks_[lane.tail_chunk].e[lane.tail++] = e;
+  ++lane.count;
+  lane_mask_ |= 1u << i;
+}
+
+void Simulator::grow_queue() {
+  cap_ = cap_ == 0 ? 16 : 2 * cap_;
+  // A lane of n entries spans at most n / kChunk + 2 chunks. Chunks are
+  // constructed on first use, so only the ones the lanes touch cost memory.
+  chunks_.reserve(cap_ / kChunk + 2 * kLanes);
 }
 
 EventId Simulator::schedule_at(Time at, EventFn fn) {
@@ -91,40 +161,64 @@ void Simulator::cancel(EventId id) {
   ++cancelled_;
 }
 
-bool Simulator::step() {
-  while (!heap_.empty()) {
-    const Entry top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
-    heap_.pop_back();
-    Slot& s = slab_[top.slot];
-    if (s.gen != top.gen || !s.live) continue;  // cancelled husk: reclaim
-    DCDL_ASSERT(top.at >= now_);
-    // Retire the slot *before* firing: a cancel() of this event from inside
-    // its own callback sees a bumped generation and is a no-op, and the
-    // callback may immediately reschedule into the recycled slot.
-    EventFn fn = std::move(s.fn);
-    s.live = false;
-    ++s.gen;
-    free_slots_.push_back(top.slot);
-    --live_;
-    now_ = top.at;
-    cur_chan_ = top.chan;
-    cur_seq_ = top.seq;
-    intra_ = 0;
-    ++executed_;
-    fn();
-    return true;
+const Simulator::Entry* Simulator::peek(int& src) {
+  for (;;) {
+    const Entry* best = heap_.empty() ? nullptr : &heap_.front();
+    src = kHeap;
+    for (std::uint32_t m = lane_mask_; m != 0; m &= m - 1) {
+      const int i = std::countr_zero(m);
+      const Entry& front = lane_front(i);
+      if (best == nullptr || EntryAfter{}(*best, front)) {
+        best = &front;
+        src = i;
+      }
+    }
+    if (best == nullptr) return nullptr;
+    const Slot& s = slab_[best->slot];
+    if (s.live && s.gen == best->gen) return best;
+    pop(src);  // cancelled husk: reclaim
   }
-  return false;
 }
 
-void Simulator::skim_husks() {
-  while (!heap_.empty()) {
-    const Slot& s = slab_[heap_.front().slot];
-    if (s.live && s.gen == heap_.front().gen) return;
+void Simulator::pop(int src) {
+  --entries_;
+  if (src == kHeap) {
     std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
     heap_.pop_back();
+    return;
   }
+  Lane& lane = lanes_[src];
+  ++lane.head;
+  if (--lane.count == 0 || lane.head == kChunk) {
+    // Return the drained chunk to the pool.
+    const std::uint32_t c = lane.head_chunk;
+    lane.head_chunk = chunks_[c].next;
+    lane.head = 0;
+    chunks_[c].next = free_chunk_;
+    free_chunk_ = c;
+    if (lane.count == 0) lane_mask_ &= ~(1u << src);
+  }
+}
+
+void Simulator::fire(const Entry* front, int src) {
+  const Entry top = *front;
+  pop(src);
+  Slot& s = slab_[top.slot];
+  DCDL_ASSERT(top.at >= now_);
+  // Retire the slot *before* firing: a cancel() of this event from inside
+  // its own callback sees a bumped generation and is a no-op, and the
+  // callback may immediately reschedule into the recycled slot.
+  EventFn fn = std::move(s.fn);
+  s.live = false;
+  ++s.gen;
+  free_slots_.push_back(top.slot);
+  --live_;
+  now_ = top.at;
+  cur_chan_ = top.chan;
+  cur_seq_ = top.seq;
+  intra_ = 0;
+  ++executed_;
+  fn();
 }
 
 void Simulator::run() {
@@ -138,7 +232,11 @@ void Simulator::run() {
   // rides along so ns/event is still derivable.
   probe::Profiler::Scope span(probe::Profiler::Span::kEventLoop);
   const std::uint64_t before = executed_;
-  while (!stopped_ && step()) {
+  int src;
+  while (!stopped_) {
+    const Entry* top = peek(src);
+    if (top == nullptr) break;
+    fire(top, src);
   }
   span.add_units(executed_ - before);
 }
@@ -149,12 +247,13 @@ bool Simulator::run_until(Time deadline) {
   stopped_ = false;
   probe::Profiler::Scope span(probe::Profiler::Span::kEventLoop);
   const std::uint64_t before = executed_;
+  int src;
   while (!stopped_) {
     // Peek past cancelled husks without executing live entries beyond the
     // deadline.
-    skim_husks();
-    if (heap_.empty() || heap_.front().at > deadline) break;
-    step();
+    const Entry* top = peek(src);
+    if (top == nullptr || top->at > deadline) break;
+    fire(top, src);
   }
   span.add_units(executed_ - before);
   if (!stopped_) {
@@ -167,15 +266,14 @@ bool Simulator::run_until(Time deadline) {
 std::uint64_t Simulator::run_keyed_window(Time limit_at,
                                           std::uint64_t limit_chan) {
   std::uint64_t executed = 0;
+  int src;
   for (;;) {
-    skim_husks();
-    if (heap_.empty()) break;
-    const Entry& top = heap_.front();
-    if (top.at > limit_at ||
-        (top.at == limit_at && top.chan >= limit_chan)) {
+    const Entry* top = peek(src);
+    if (top == nullptr || top->at > limit_at ||
+        (top->at == limit_at && top->chan >= limit_chan)) {
       break;
     }
-    step();
+    fire(top, src);
     ++executed;
   }
   advance_to(limit_at);
@@ -183,10 +281,11 @@ std::uint64_t Simulator::run_keyed_window(Time limit_at,
 }
 
 bool Simulator::drain_through(Time deadline) {
+  int src;
   while (!stopped_) {
-    skim_husks();
-    if (heap_.empty() || heap_.front().at > deadline) break;
-    step();
+    const Entry* top = peek(src);
+    if (top == nullptr || top->at > deadline) break;
+    fire(top, src);
   }
   if (!stopped_) {
     advance_to(deadline);
@@ -196,8 +295,9 @@ bool Simulator::drain_through(Time deadline) {
 }
 
 Time Simulator::next_event_time() {
-  skim_husks();
-  return heap_.empty() ? Time::max() : heap_.front().at;
+  int src;
+  const Entry* top = peek(src);
+  return top == nullptr ? Time::max() : top->at;
 }
 
 }  // namespace dcdl

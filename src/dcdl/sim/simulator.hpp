@@ -14,12 +14,28 @@
 // uses channel 0 with the global sequence, which makes the extended
 // comparator degenerate to the historical (time, seq) order bit-for-bit.
 //
+// Event queue: a binary min-heap on (time, chan, seq) fronted by up to
+// kLanes FIFO delay lanes. Device events reuse a handful of delays
+// (serialization, serialization plus propagation, pause refresh, monitor
+// and probe periods), so each lane holds the pending entries scheduled
+// with one delay (at - now). An entry is appended to its delay's lane only
+// if its key is greater than the lane's tail; otherwise it goes to the
+// heap, and an empty lane may be re-keyed to a new delay. Every lane is
+// therefore sorted, and a pop takes the least of the heap top and the lane
+// fronts — the same global key order a single heap yields. Because the
+// keys are unique, the fire order, the moment each cancelled husk is
+// reclaimed (when it is the global minimum), slot recycling and every
+// counter are exactly those of the plain heap; heap_entries() and
+// counters().heap_high_water count all pending entries, lanes included.
+//
 // Hot-path memory architecture (see DESIGN.md): callbacks live in a
 // generation-tagged slab of fixed-size records recycled through a free
-// list, the time-ordered heap holds only POD (time, chan, seq, slot, gen)
+// list, the heap and the lanes hold only POD (time, chan, seq, slot, gen)
 // entries, and closures are stored inline via InplaceFn — steady-state
 // scheduling, firing, and cancelling perform zero heap allocation and zero
-// hashing.
+// hashing. Storage grows only when the pending count reaches a new
+// power-of-two high-water mark: the lanes' chunk pool is then reserved for
+// that many entries, and the heap is on its next use.
 #pragma once
 
 #include <cstdint>
@@ -158,7 +174,8 @@ class Simulator {
     /// state.
     std::uint64_t slab_grows = 0;
     std::size_t slab_slots = 0;       ///< slab high-water (slabs never shrink)
-    std::size_t heap_high_water = 0;  ///< max heap entries ever pending
+    /// Max queue entries ever pending (heap plus lanes, husks included).
+    std::size_t heap_high_water = 0;
     std::size_t pending = 0;          ///< live events right now
   };
   Counters counters() const {
@@ -166,10 +183,11 @@ class Simulator {
                     slab_.size(), heap_high_water_, live_};
   }
 
-  /// Diagnostic: heap entries including cancelled husks awaiting their pop.
-  /// Bounded by the number of still-scheduled timestamps; the regression
-  /// test for the cancel-tombstone leak asserts on this.
-  std::size_t heap_entries() const { return heap_.size(); }
+  /// Diagnostic: queue entries (heap plus lanes) including cancelled husks
+  /// awaiting their pop. Bounded by the number of still-scheduled
+  /// timestamps; the regression test for the cancel-tombstone leak asserts
+  /// on this.
+  std::size_t heap_entries() const { return entries_; }
 
   /// Diagnostic: slab slots currently allocated (live + free-listed).
   std::size_t slab_slots() const { return slab_.size(); }
@@ -190,7 +208,7 @@ class Simulator {
   };
 
  private:
-  /// Heap entries are POD: sift operations move 32 bytes, never a closure.
+  /// Queue entries are POD: sift operations move 32 bytes, never a closure.
   struct Entry {
     Time at;
     std::uint64_t chan;
@@ -216,19 +234,58 @@ class Simulator {
     bool live = false;
   };
 
+  /// Lanes store entries in fixed-size chunks drawn from one shared pool.
+  static constexpr std::uint32_t kChunk = 32;
+  static constexpr std::uint32_t kNoChunk = 0xFFFFFFFFu;
+  struct Chunk {
+    Entry e[kChunk];
+    std::uint32_t next = kNoChunk;  // next chunk of the lane / free list
+  };
+
+  /// A FIFO of entries that were all scheduled `delay` after the clock of
+  /// their scheduling, kept in key order: a chain of pool chunks, read at
+  /// `head` in the first and appended at `tail` in the last.
+  struct Lane {
+    Time delay{-1};  // no scheduling delay is negative: never matches
+    std::uint32_t head_chunk = kNoChunk;
+    std::uint32_t tail_chunk = kNoChunk;
+    std::uint32_t head = 0;
+    std::uint32_t tail = 0;
+    std::uint32_t count = 0;
+  };
+  static constexpr int kLanes = 8;
+  static constexpr int kHeap = kLanes;  // source index of the heap top
+
   /// Recyclable storage (see ScopedArenaRecycling).
   struct Arena {
     std::vector<Entry> heap;
+    std::vector<Chunk> chunks;
+    std::size_t cap;
     std::vector<Slot> slab;
     std::vector<std::uint32_t> free_slots;
   };
 
   EventId push_entry(Time at, std::uint64_t chan, std::uint64_t seq,
                      EventFn fn);
-  bool step();  // pops and runs one live event; false if queue empty
-  /// Pops cancelled husks off the heap top; afterwards the top (if any) is
-  /// live.
-  void skim_husks();
+  void enqueue(const Entry& e);
+  /// Doubles the pending-entry capacity cap_ and reserves the chunk pool
+  /// for it (cap_ / kChunk + 2 * kLanes chunks, the most the lanes can span
+  /// when cap_ entries are pending — so no lane append ever allocates).
+  void grow_queue();
+  void append(int lane, const Entry& e);
+  const Entry& lane_front(int lane) const {
+    return chunks_[lanes_[lane].head_chunk].e[lanes_[lane].head];
+  }
+  const Entry& lane_tail(int lane) const {
+    return chunks_[lanes_[lane].tail_chunk].e[lanes_[lane].tail - 1];
+  }
+  /// The earliest live entry, found by one scan of the heap top and the
+  /// lane fronts; cancelled husks met at the front are popped on the way.
+  /// Sets `src` to its source (a lane index or kHeap); nullptr when empty.
+  const Entry* peek(int& src);
+  void pop(int src);
+  /// Pops the entry `front` that peek() found at `src` and runs it.
+  void fire(const Entry* front, int src);
 
   static thread_local int arena_scope_depth_;
   static thread_local Arena* arena_stash_;
@@ -247,6 +304,12 @@ class Simulator {
   std::uint32_t intra_ = 0;
   RunDelegate* delegate_ = nullptr;
   std::vector<Entry> heap_;
+  std::vector<Chunk> chunks_;
+  std::uint32_t free_chunk_ = kNoChunk;  // head of the free-chunk list
+  Lane lanes_[kLanes];
+  std::uint32_t lane_mask_ = 0;  // bit i set iff lane i is non-empty
+  std::size_t cap_ = 0;          // pending entries storable without growth
+  std::size_t entries_ = 0;      // heap plus lane entries, husks included
   std::vector<Slot> slab_;
   std::vector<std::uint32_t> free_slots_;
 };

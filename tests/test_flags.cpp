@@ -60,5 +60,40 @@ TEST(FlagsDeath, CheckUnusedCatchesTypos) {
   EXPECT_EXIT(f.check_unused(), testing::ExitedWithCode(2), "unknown flag");
 }
 
+TEST(FlagsDeath, MalformedIntegersAreNamedErrors) {
+  for (const char* bad : {"--run_ms=abc", "--run_ms=", "--run_ms=12ms",
+                          "--run_ms=1.5", "--run_ms=99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    Flags f = make({bad});
+    EXPECT_EXIT(f.get_int("run_ms", 0), testing::ExitedWithCode(2),
+                "prog: --run_ms: expected an integer, got '");
+  }
+}
+
+TEST(FlagsDeath, MalformedDoublesAreNamedErrors) {
+  for (const char* bad : {"--rate=fast", "--rate=", "--rate=5gbps",
+                          "--rate=1e999"}) {
+    SCOPED_TRACE(bad);
+    Flags f = make({bad});
+    EXPECT_EXIT(f.get_double("rate", 0), testing::ExitedWithCode(2),
+                "prog: --rate: expected a number, got '");
+  }
+}
+
+TEST(FlagsDeath, ErrorQuotesTheValue) {
+  Flags f = make({"--run_ms=abc"});
+  EXPECT_EXIT(f.get_int("run_ms", 0), testing::ExitedWithCode(2),
+              "prog: --run_ms: expected an integer, got 'abc'");
+}
+
+TEST(Flags, WellFormedNumbersStillParse) {
+  Flags f = make({"--n=-7", "--m=+3", "--x=1e-3", "--y=.5", "--z=-2.25"});
+  EXPECT_EQ(f.get_int("n", 0), -7);
+  EXPECT_EQ(f.get_int("m", 0), 3);
+  EXPECT_DOUBLE_EQ(f.get_double("x", 0), 1e-3);
+  EXPECT_DOUBLE_EQ(f.get_double("y", 0), 0.5);
+  EXPECT_DOUBLE_EQ(f.get_double("z", 0), -2.25);
+}
+
 }  // namespace
 }  // namespace dcdl

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <compare>
+#include <cstdint>
+#include <map>
+#include <ostream>
+#include <random>
 #include <vector>
 
 #include "dcdl/sim/simulator.hpp"
@@ -229,6 +235,238 @@ TEST(Simulator, SlabStaysBoundedUnderSteadyChurn) {
   sim.run();
   EXPECT_GE(churn.fired, 1'000'000u);
   EXPECT_LE(sim.slab_slots(), 16u);
+}
+
+// ---------------------------------------------------------------------------
+// Queue-order oracle. A seeded mix of schedules (repeated delays that ride
+// the delay lanes, more distinct delays than there are lanes, same-time
+// keyed bursts on falling channels that must fall back to the heap),
+// cancels (before firing, from other callbacks, stale, self-cancel) and
+// run_until / run_keyed_window / next_event_time boundaries, checked against
+// a reference that keeps every pending entry — cancelled husks included —
+// sorted by (at, chan, seq). Every fire must be the reference's earliest
+// live key, and heap_entries() must equal the reference's entry count: a
+// husk is reclaimed exactly when it is the earliest entry at a pop.
+
+class QueueOracle {
+ public:
+  explicit QueueOracle(std::uint64_t seed) : rng_(seed) {}
+
+  void run() {
+    for (int i = 0; i < 40; ++i) schedule_random();
+    while (!broken_ && recs_.size() < kBudget) {
+      const Time now = sim_.now();
+      const Time span{static_cast<std::int64_t>(pick(3000)) * 1000};
+      switch (pick(6)) {
+        case 0:
+        case 1: {
+          const bool done = sim_.run_until(now + span);
+          if (done) skim();  // run_until peeked past the deadline
+          break;
+        }
+        case 2: {
+          // Window limits that split same-time keyed bursts by channel.
+          const std::uint64_t limit_chan =
+              pick(4) == 0 ? Simulator::kAllChannels : 1 + pick(12);
+          sim_.run_keyed_window(now + span, limit_chan);
+          skim();
+          break;
+        }
+        case 3: {
+          const Time next = sim_.next_event_time();
+          skim();
+          EXPECT_EQ(next, earliest_live_at());
+          break;
+        }
+        case 4:
+          for (int i = 0, n = 1 + static_cast<int>(pick(4)); i < n; ++i) {
+            schedule_random();  // between runs, from outside any callback
+          }
+          break;
+        default:
+          cancel_random();
+          break;
+      }
+      check_entries();
+      if (sim_.pending_events() == 0) schedule_random();
+    }
+    draining_ = true;
+    sim_.run();
+    skim();
+    check_entries();
+    EXPECT_EQ(sim_.pending_events(), 0u);
+    EXPECT_EQ(sim_.heap_entries(), 0u);
+
+    // The fire order is the reference sort of every uncancelled entry.
+    std::vector<Key> expected;
+    for (const Rec& r : recs_) {
+      if (r.state != State::kCancelled) expected.push_back(r.key);
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(fired_, expected);
+    EXPECT_EQ(sim_.counters().heap_high_water, high_water_);
+    EXPECT_EQ(sim_.counters().scheduled, recs_.size());
+    EXPECT_EQ(sim_.counters().executed, fired_.size());
+    EXPECT_EQ(sim_.counters().cancelled, cancelled_);
+    EXPECT_GT(cancelled_, 0u);
+    EXPECT_GT(fired_.size(), kBudget / 2);
+  }
+
+ private:
+  static constexpr std::size_t kBudget = 30'000;
+
+  struct Key {
+    Time at;
+    std::uint64_t chan;
+    std::uint64_t seq;
+    friend auto operator<=>(const Key&, const Key&) = default;
+    friend std::ostream& operator<<(std::ostream& os, const Key& k) {
+      return os << "(" << k.at.ps() << "," << k.chan << "," << k.seq << ")";
+    }
+  };
+  enum class State { kPending, kFired, kCancelled };
+  struct Rec {
+    Key key;
+    EventId id;
+    State state;
+  };
+
+  std::uint64_t pick(std::uint64_t n) { return rng_() % n; }
+
+  // Delays device events reuse (serialization, serialization plus
+  // propagation, a refresh period) — and zero.
+  Time repeated_delay() {
+    static constexpr std::int64_t kNs[] = {0, 200, 1200, 5000};
+    return Time{kNs[pick(4)] * 1000};
+  }
+  // Twelve further delays: more than the lanes can key at once.
+  Time scattered_delay() {
+    return Time{static_cast<std::int64_t>(300 + 37 * pick(12)) * 1000};
+  }
+
+  // New keys always sort after the last fired one (`last_`), so the whole
+  // fire order is one ascending sort: a zero-delay event that would sort
+  // before it moves one serialization time later, and a zero-delay keyed
+  // burst uses channels above the last fired one.
+  void schedule_random() {
+    const Time now = sim_.now();
+    const std::uint64_t kind = pick(10);
+    if (kind < 2) {
+      // Same-time keyed burst on falling channels: the first may ride a
+      // lane, the later ones sort before the tail and take the heap.
+      const Time at = now + repeated_delay();
+      const std::uint64_t base = at == last_.at ? last_.chan : 0;
+      for (std::uint64_t c = base + 2 + pick(3); c > base; --c) {
+        add(Key{at, c, keyed_seq_++});
+      }
+      return;
+    }
+    Time at = now + (kind < 4 ? scattered_delay() : repeated_delay());
+    if (at == last_.at && last_.chan != 0) at += Time{200'000};
+    add(Key{at, 0, legacy_seq_++});
+  }
+
+  void add(const Key& k) {
+    const std::size_t idx = recs_.size();
+    auto fn = [this, idx] { on_fire(idx); };
+    const EventId id = k.chan == 0
+                           ? sim_.schedule_at(k.at, fn)
+                           : sim_.schedule_keyed(k.at, k.chan, k.seq, fn);
+    recs_.push_back(Rec{k, id, State::kPending});
+    pending_.emplace(k, idx);
+    high_water_ = std::max(high_water_, pending_.size());
+  }
+
+  void cancel_random() {
+    if (recs_.empty()) return;
+    Rec& r = recs_[pick(recs_.size())];
+    sim_.cancel(r.id);  // a fired or cancelled record is a stale no-op
+    if (r.state == State::kPending) {
+      r.state = State::kCancelled;
+      ++cancelled_;
+    }
+  }
+
+  void on_fire(std::size_t idx) {
+    if (broken_) return;
+    Rec& r = recs_[idx];
+    // Everything ordered before this key must be a husk.
+    while (!pending_.empty() && pending_.begin()->first < r.key) {
+      if (recs_[pending_.begin()->second].state != State::kCancelled) {
+        ADD_FAILURE() << "fired " << r.key << " before live "
+                      << pending_.begin()->first;
+        broken_ = true;
+        sim_.stop();
+        return;
+      }
+      pending_.erase(pending_.begin());
+    }
+    if (r.state != State::kPending || pending_.empty() ||
+        pending_.begin()->second != idx) {
+      ADD_FAILURE() << "fired " << r.key << " out of reference order";
+      broken_ = true;
+      sim_.stop();
+      return;
+    }
+    pending_.erase(pending_.begin());
+    r.state = State::kFired;
+    fired_.push_back(r.key);
+    last_ = r.key;
+    EXPECT_EQ(sim_.now(), r.key.at);
+    EXPECT_EQ(sim_.current_chan(), r.key.chan);
+    EXPECT_EQ(sim_.current_seq(), r.key.seq);
+    check_entries();
+
+    if (pick(20) == 0) sim_.cancel(r.id);  // self-cancel: stale no-op
+    if (recs_.size() >= kBudget) return;
+    const std::uint64_t live = sim_.pending_events();
+    const int n = live < 20 ? 2 : static_cast<int>(pick(5) % 3);
+    for (int i = 0; i < n; ++i) schedule_random();
+    if (pick(5) == 0) cancel_random();
+    if (!draining_ && pick(400) == 0) sim_.stop();
+    check_entries();
+  }
+
+  /// The engine peeked: leading husks have been reclaimed.
+  void skim() {
+    while (!pending_.empty() &&
+           recs_[pending_.begin()->second].state == State::kCancelled) {
+      pending_.erase(pending_.begin());
+    }
+  }
+
+  Time earliest_live_at() const {
+    return pending_.empty() ? Time::max() : pending_.begin()->first.at;
+  }
+
+  void check_entries() {
+    if (sim_.heap_entries() != pending_.size()) {
+      ADD_FAILURE() << "heap_entries " << sim_.heap_entries()
+                    << " != reference " << pending_.size();
+      broken_ = true;
+      sim_.stop();
+    }
+  }
+
+  Simulator sim_;
+  std::mt19937_64 rng_;
+  std::vector<Rec> recs_;
+  std::map<Key, std::size_t> pending_;  // unpopped entries, husks included
+  std::vector<Key> fired_;
+  Key last_{Time::zero(), 0, 0};  // the last fired key
+  std::uint64_t legacy_seq_ = 1;  // mirrors the simulator's global sequence
+  std::uint64_t keyed_seq_ = 1;
+  std::uint64_t cancelled_ = 0;
+  std::size_t high_water_ = 0;
+  bool draining_ = false;
+  bool broken_ = false;
+};
+
+TEST(SimulatorQueueOracle, FireOrderAndEntryCountsMatchReferenceSort) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    QueueOracle(seed).run();
+  }
 }
 
 TEST(SimulatorDeath, RejectsSchedulingInThePast) {

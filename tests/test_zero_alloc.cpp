@@ -46,10 +46,26 @@ void* operator new[](std::size_t n, std::align_val_t al) {
   return ::operator new(n, al);
 }
 
+// The nothrow forms (std::stable_sort's temporary buffer) must come from the
+// same malloc as the rest: the sanitizers' own nothrow new, freed by the
+// operator delete below, is an alloc-dealloc mismatch.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {

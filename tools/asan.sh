@@ -7,7 +7,9 @@
 #   tools/asan.sh [build-dir]          # default: build-asan
 #
 # -fno-sanitize-recover makes any UBSan hit fail the run instead of just
-# printing; a clean exit means the entire suite is ASan+UBSan clean.
+# printing; -D_GLIBCXX_ASSERTIONS makes out-of-range std::vector indexing
+# (and other libstdc++ precondition violations) trap. A clean exit means the
+# entire suite is ASan+UBSan clean with checked containers.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -15,7 +17,7 @@ build_dir=${1:-"$repo_root/build-asan"}
 
 cmake -B "$build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 
 cmake --build "$build_dir" -j"$(nproc)"
