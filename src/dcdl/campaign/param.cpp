@@ -1,7 +1,9 @@
 #include "dcdl/campaign/param.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 namespace dcdl::campaign {
@@ -59,7 +61,9 @@ ParamValue ParamValue::parse(const std::string& text, std::string* unit) {
   const char* begin = text.c_str();
   char* end = nullptr;
   const double d = std::strtod(begin, &end);
-  if (end != begin) {
+  // inf/nan are no parameter value: they stay text, which every numeric
+  // accessor rejects by name.
+  if (end != begin && std::isfinite(d)) {
     std::string rest(end);
     bool alpha = !rest.empty();
     for (const char c : rest) {
@@ -72,7 +76,18 @@ ParamValue ParamValue::parse(const std::string& text, std::string* unit) {
           text.find('e') == std::string::npos &&
           text.find('E') == std::string::npos;
       if (looks_int) {
-        return of_int(static_cast<std::int64_t>(d));
+        // Decimal integer text parses exactly as an integer (a double
+        // round trip loses digits past 2^53); hex falls through to double.
+        errno = 0;
+        char* int_end = nullptr;
+        const long long v = std::strtoll(begin, &int_end, 10);
+        if (int_end == end) {
+          if (errno == ERANGE) {
+            throw CampaignError("integer param value '" + text +
+                                "' is out of the 64-bit range");
+          }
+          return of_int(v);
+        }
       }
       return of_double(d);
     }
@@ -82,7 +97,15 @@ ParamValue ParamValue::parse(const std::string& text, std::string* unit) {
 
 std::int64_t ParamValue::as_int() const {
   if (kind_ == ParamKind::kInt) return int_;
-  if (kind_ == ParamKind::kDouble) return static_cast<std::int64_t>(double_);
+  if (kind_ == ParamKind::kDouble) {
+    // [-2^63, 2^63): the doubles whose truncation an int64 can hold.
+    if (!(double_ >= -9223372036854775808.0 &&
+          double_ < 9223372036854775808.0)) {
+      throw CampaignError("param value " + format_double(double_) +
+                          " is not an integer in the 64-bit range");
+    }
+    return static_cast<std::int64_t>(double_);
+  }
   if (kind_ == ParamKind::kBool) return bool_ ? 1 : 0;
   throw CampaignError("param value '" + string_ + "' is not numeric");
 }

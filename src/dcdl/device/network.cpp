@@ -84,164 +84,63 @@ void Network::init_sharding(int requested_shards) {
   engine_->set_on_worker_start(
       [this](std::uint32_t s) { tls_trace_ = &shard_traces_[s]; });
   engine_->set_on_run_start([this] { arm_shard_traces(); });
-  engine_->set_replay(
-      [this](const ShardedEngine::TraceRec& rec) { replay_record(rec); });
 }
 
 Trace& Network::trace() {
   return tls_trace_ != nullptr ? *tls_trace_ : trace_;
 }
 
-ShardedEngine::TraceRec Network::make_rec(std::uint32_t shard,
-                                          ShardedEngine::RecKind kind,
-                                          Time at) {
-  Simulator& sm = engine_->shard_sim(shard);
-  ShardedEngine::TraceRec rec;
-  rec.at = at;
-  rec.chan = sm.current_chan();
-  rec.seq = sm.current_seq();
-  rec.intra = sm.next_intra();
-  rec.kind = kind;
-  return rec;
+template <typename... Rest>
+void Network::arm_deferred(HookSlot<Time, Rest...> Trace::*slot) {
+  HookSlot<Time, Rest...>* real = &(trace_.*slot);
+  for (std::uint32_t s = 0; s < shard_traces_.size(); ++s) {
+    HookSlot<Time, Rest...>& deferring = shard_traces_[s].*slot;
+    if (!*real) {
+      deferring = nullptr;
+      continue;
+    }
+    deferring = [eng = engine_.get(), s, real](Time t, Rest... rest) {
+      auto fire = [real, t, rest...] { (*real)(t, rest...); };
+      static_assert(sizeof(fire) <= ShardedEngine::kDeferredBytes,
+                    "deferred observation would spill to the heap");
+      eng->defer(s, t, std::move(fire));
+    };
+  }
 }
 
 void Network::arm_shard_traces() {
-  for (std::uint32_t s = 0; s < shard_traces_.size(); ++s) {
-    Trace& st = shard_traces_[s];
-    if (trace_.pfc_state) {
-      st.pfc_state = [this, s](Time t, NodeId n, PortId p, ClassId c,
-                               bool paused) {
-        ShardedEngine::TraceRec rec =
-            make_rec(s, ShardedEngine::RecKind::kPfcState, t);
-        rec.node = n;
-        rec.port = p;
-        rec.cls = c;
-        rec.flag = paused ? 1 : 0;
-        engine_->push_record(s, rec);
-      };
-    } else {
-      st.pfc_state = nullptr;
-    }
-    if (trace_.queue_bytes) {
-      st.queue_bytes = [this, s](Time t, NodeId n, PortId p, ClassId c,
-                                 std::int64_t bytes) {
-        ShardedEngine::TraceRec rec =
-            make_rec(s, ShardedEngine::RecKind::kQueueBytes, t);
-        rec.node = n;
-        rec.port = p;
-        rec.cls = c;
-        rec.value = bytes;
-        engine_->push_record(s, rec);
-      };
-    } else {
-      st.queue_bytes = nullptr;
-    }
-    if (trace_.delivered) {
-      st.delivered = [this, s](Time t, const Packet& pkt) {
-        ShardedEngine::TraceRec rec =
-            make_rec(s, ShardedEngine::RecKind::kDelivered, t);
-        rec.pkt = pkt;
-        engine_->push_record(s, rec);
-      };
-    } else {
-      st.delivered = nullptr;
-    }
-    if (trace_.dropped) {
-      st.dropped = [this, s](Time t, const Packet& pkt, NodeId n,
-                             DropReason r) {
-        ShardedEngine::TraceRec rec =
-            make_rec(s, ShardedEngine::RecKind::kDropped, t);
-        rec.pkt = pkt;
-        rec.node = n;
-        rec.flag = static_cast<std::uint8_t>(r);
-        engine_->push_record(s, rec);
-      };
-    } else {
-      st.dropped = nullptr;
-    }
-    if (trace_.tx_start) {
-      st.tx_start = [this, s](Time t, const Packet& pkt, NodeId n, PortId p) {
-        ShardedEngine::TraceRec rec =
-            make_rec(s, ShardedEngine::RecKind::kTxStart, t);
-        rec.pkt = pkt;
-        rec.node = n;
-        rec.port = p;
-        engine_->push_record(s, rec);
-      };
-    } else {
-      st.tx_start = nullptr;
-    }
-    if (trace_.cnp) {
-      st.cnp = [this, s](Time t, FlowId f) {
-        ShardedEngine::TraceRec rec =
-            make_rec(s, ShardedEngine::RecKind::kCnp, t);
-        rec.flow = f;
-        engine_->push_record(s, rec);
-      };
-    } else {
-      st.cnp = nullptr;
-    }
-    if (trace_.hop_wait) {
-      st.hop_wait = [this, s](Time t, NodeId n, PortId p, ClassId c,
-                              Time waited) {
-        ShardedEngine::TraceRec rec =
-            make_rec(s, ShardedEngine::RecKind::kHopWait, t);
-        rec.node = n;
-        rec.port = p;
-        rec.cls = c;
-        rec.value = waited.ps();
-        engine_->push_record(s, rec);
-      };
-    } else {
-      st.hop_wait = nullptr;
-    }
-    if (trace_.dataplane) {
-      st.dataplane = [this, s](Time t, NodeId n, dataplane::DataplaneEvent e,
-                               ClassId c, std::uint64_t detail) {
-        ShardedEngine::TraceRec rec =
-            make_rec(s, ShardedEngine::RecKind::kDataplane, t);
-        rec.node = n;
-        rec.cls = c;
-        rec.flag = static_cast<std::uint8_t>(e);
-        rec.value = static_cast<std::int64_t>(detail);
-        engine_->push_record(s, rec);
-      };
-    } else {
-      st.dataplane = nullptr;
-    }
-  }
+  arm_deferred(&Trace::pfc_state);
+  arm_deferred(&Trace::queue_bytes);
+  arm_deferred(&Trace::delivered);
+  arm_deferred(&Trace::dropped);
+  arm_deferred(&Trace::tx_start);
+  arm_deferred(&Trace::cnp);
+  arm_deferred(&Trace::hop_wait);
+  arm_deferred(&Trace::dataplane);
 }
 
-void Network::replay_record(const ShardedEngine::TraceRec& rec) {
-  switch (rec.kind) {
-    case ShardedEngine::RecKind::kPfcState:
-      trace_.pfc_state(rec.at, rec.node, rec.port, rec.cls, rec.flag != 0);
-      break;
-    case ShardedEngine::RecKind::kQueueBytes:
-      trace_.queue_bytes(rec.at, rec.node, rec.port, rec.cls, rec.value);
-      break;
-    case ShardedEngine::RecKind::kDelivered:
-      trace_.delivered(rec.at, rec.pkt);
-      break;
-    case ShardedEngine::RecKind::kDropped:
-      trace_.dropped(rec.at, rec.pkt, rec.node,
-                     static_cast<DropReason>(rec.flag));
-      break;
-    case ShardedEngine::RecKind::kTxStart:
-      trace_.tx_start(rec.at, rec.pkt, rec.node, rec.port);
-      break;
-    case ShardedEngine::RecKind::kCnp:
-      trace_.cnp(rec.at, rec.flow);
-      break;
-    case ShardedEngine::RecKind::kHopWait:
-      trace_.hop_wait(rec.at, rec.node, rec.port, rec.cls, Time{rec.value});
-      break;
-    case ShardedEngine::RecKind::kDataplane:
-      trace_.dataplane(rec.at, rec.node,
-                       static_cast<dataplane::DataplaneEvent>(rec.flag),
-                       rec.cls, static_cast<std::uint64_t>(rec.value));
-      break;
+template <typename F>
+void Network::post_wire(NodeId from, const PortPeer& pp, Time after, F&& fn) {
+  if (engine_ == nullptr) {
+    sim_.schedule_in(after, std::forward<F>(fn));
+    return;
   }
+  const std::uint32_t dir = from == topo_.link(pp.link).a ? 0u : 1u;
+  engine_->post(plan_.node_shard[pp.peer_node], devices_[from]->now() + after,
+                wire_channel(pp.link, dir), ++wire_seq_[2 * pp.link + dir],
+                std::forward<F>(fn));
+}
+
+template <typename F>
+void Network::post_oob(NodeId from, NodeId to, F&& fn) {
+  if (engine_ == nullptr) {
+    sim_.schedule_in(cfg_.cnp_feedback_delay, std::forward<F>(fn));
+    return;
+  }
+  engine_->post(plan_.node_shard[to],
+                devices_[from]->now() + cfg_.cnp_feedback_delay,
+                oob_channel(topo_, from), ++oob_seq_[from],
+                std::forward<F>(fn));
 }
 
 Switch& Network::switch_at(NodeId id) {
@@ -267,48 +166,28 @@ const Host& Network::host_at(NodeId id) const {
 void Network::transmit(NodeId from, PortId port, Packet pkt) {
   const PortPeer& pp = topo_.peer(from, port);
   const LinkSpec& link = topo_.link(pp.link);
-  const Time ser = serialization_time(pkt.size_bytes, link.rate);
   DCDL_ASSERT(pp.peer_node < devices_.size());
   Device* peer = devices_[pp.peer_node].get();
   const PortId peer_port = pp.peer_port;
-  if (engine_ != nullptr) {
-    const std::uint32_t dir = from == link.a ? 0u : 1u;
-    const Time at = device_sim(from).now() + ser + link.delay;
-    engine_->post(plan_.node_shard[pp.peer_node], at,
-                  wire_channel(pp.link, dir), ++wire_seq_[2 * pp.link + dir],
-                  [peer, peer_port, pkt]() mutable {
-                    peer->on_receive(peer_port, pkt);
-                  });
-    return;
-  }
-  sim_.schedule_in(ser + link.delay, [peer, peer_port, pkt]() mutable {
-    peer->on_receive(peer_port, pkt);
-  });
+  post_wire(from, pp,
+            serialization_time(pkt.size_bytes, link.rate) + link.delay,
+            [peer, peer_port, pkt]() mutable {
+              peer->on_receive(peer_port, pkt);
+            });
 }
 
 void Network::send_pfc(NodeId from, PortId port, ClassId cls, bool pause) {
   const PortPeer& pp = topo_.peer(from, port);
   const LinkSpec& link = topo_.link(pp.link);
-  const Time ser = serialization_time(cfg_.pfc.control_frame_bytes, link.rate);
   DCDL_ASSERT(pp.peer_node < devices_.size());
   Device* peer = devices_[pp.peer_node].get();
   const PortId peer_port = pp.peer_port;
-  if (engine_ != nullptr) {
-    // PFC frames share the wire channel (and its sequence space) with data:
-    // both are emissions of the same directed link, keyed in the order the
-    // sending device produced them.
-    const std::uint32_t dir = from == link.a ? 0u : 1u;
-    const Time at = device_sim(from).now() + ser + link.delay;
-    engine_->post(plan_.node_shard[pp.peer_node], at,
-                  wire_channel(pp.link, dir), ++wire_seq_[2 * pp.link + dir],
-                  [peer, peer_port, cls, pause] {
-                    peer->on_pfc(peer_port, cls, pause);
-                  });
-    return;
-  }
-  sim_.schedule_in(ser + link.delay, [peer, peer_port, cls, pause] {
-    peer->on_pfc(peer_port, cls, pause);
-  });
+  post_wire(from, pp,
+            serialization_time(cfg_.pfc.control_frame_bytes, link.rate) +
+                link.delay,
+            [peer, peer_port, cls, pause] {
+              peer->on_pfc(peer_port, cls, pause);
+            });
 }
 
 void Network::send_pfc(NodeId from, PortId port, ClassId cls, bool pause,
@@ -320,38 +199,21 @@ void Network::send_pfc(NodeId from, PortId port, ClassId cls, bool pause,
     return;
   }
   const LinkSpec& link = topo_.link(pp.link);
-  const Time ser = serialization_time(cfg_.pfc.control_frame_bytes, link.rate);
   auto* peer = static_cast<Switch*>(devices_[pp.peer_node].get());
   const PortId peer_port = pp.peer_port;
-  if (engine_ != nullptr) {
-    const std::uint32_t dir = from == link.a ? 0u : 1u;
-    const Time at = device_sim(from).now() + ser + link.delay;
-    engine_->post(plan_.node_shard[pp.peer_node], at,
-                  wire_channel(pp.link, dir), ++wire_seq_[2 * pp.link + dir],
-                  [peer, peer_port, cls, pause, tag] {
-                    peer->on_pfc_tagged(peer_port, cls, pause, tag);
-                  });
-    return;
-  }
-  sim_.schedule_in(ser + link.delay, [peer, peer_port, cls, pause, tag] {
-    peer->on_pfc_tagged(peer_port, cls, pause, tag);
-  });
+  post_wire(from, pp,
+            serialization_time(cfg_.pfc.control_frame_bytes, link.rate) +
+                link.delay,
+            [peer, peer_port, cls, pause, tag] {
+              peer->on_pfc_tagged(peer_port, cls, pause, tag);
+            });
 }
 
 void Network::send_cnp(NodeId from, FlowId flow, NodeId src_host) {
   DCDL_EXPECTS(topo_.is_host(src_host));
-  if (engine_ != nullptr) {
-    const Time at = device_sim(from).now() + cfg_.cnp_feedback_delay;
-    engine_->post(plan_.node_shard[src_host], at, oob_channel(topo_, from),
-                  ++oob_seq_[from], [this, flow, src_host] {
-                    Trace& tr = trace();
-                    if (tr.cnp) tr.cnp(device(src_host).now(), flow);
-                    host_at(src_host).on_cnp(flow);
-                  });
-    return;
-  }
-  sim_.schedule_in(cfg_.cnp_feedback_delay, [this, flow, src_host] {
-    if (trace_.cnp) trace_.cnp(sim_.now(), flow);
+  post_oob(from, src_host, [this, flow, src_host] {
+    Trace& tr = trace();
+    if (tr.cnp) tr.cnp(device(src_host).now(), flow);
     host_at(src_host).on_cnp(flow);
   });
 }
@@ -359,15 +221,7 @@ void Network::send_cnp(NodeId from, FlowId flow, NodeId src_host) {
 void Network::send_rtt_sample(NodeId from, FlowId flow, NodeId src_host,
                               Time rtt) {
   DCDL_EXPECTS(topo_.is_host(src_host));
-  if (engine_ != nullptr) {
-    const Time at = device_sim(from).now() + cfg_.cnp_feedback_delay;
-    engine_->post(plan_.node_shard[src_host], at, oob_channel(topo_, from),
-                  ++oob_seq_[from], [this, flow, src_host, rtt] {
-                    host_at(src_host).on_rtt(flow, rtt);
-                  });
-    return;
-  }
-  sim_.schedule_in(cfg_.cnp_feedback_delay, [this, flow, src_host, rtt] {
+  post_oob(from, src_host, [this, flow, src_host, rtt] {
     host_at(src_host).on_rtt(flow, rtt);
   });
 }

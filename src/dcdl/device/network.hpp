@@ -56,10 +56,11 @@ class Network {
   const NetConfig& config() const { return cfg_; }
 
   /// The observation hooks. On shard worker threads this returns the
-  /// shard's buffering trace (records tagged with the executing event's
-  /// key, merged and replayed globally ordered at each window barrier);
-  /// everywhere else — attachment sites, legacy runs, control phases — the
-  /// real hook set.
+  /// shard's deferring trace: each attached slot defers a closure that
+  /// fires the real slot, keyed by the executing event and fired in merged
+  /// key order at the next window barrier (ShardedEngine::defer). Everywhere
+  /// else — attachment sites, legacy runs, control phases — the real hook
+  /// set.
   Trace& trace();
 
   /// True when this network runs on the sharded engine.
@@ -134,17 +135,24 @@ class Network {
 
  private:
   void init_sharding(int requested_shards);
-  /// (Re)installs per-shard buffering hooks mirroring whatever is attached
+  /// (Re)installs per-shard deferring hooks mirroring whatever is attached
   /// to the real trace — invoked by the engine at the start of every run.
   void arm_shard_traces();
-  /// Fires one merged record into the real hooks (engine replay sink).
-  void replay_record(const ShardedEngine::TraceRec& rec);
-  ShardedEngine::TraceRec make_rec(std::uint32_t shard,
-                                   ShardedEngine::RecKind kind, Time at);
-  Simulator& device_sim(NodeId id) {
-    return engine_ != nullptr ? engine_->shard_sim(plan_.node_shard[id])
-                              : sim_;
-  }
+  /// Points `slot` of every shard trace at a recorder that defers each
+  /// observation as a closure firing the real slot (or clears it when
+  /// nothing is attached to the real slot).
+  template <typename... Rest>
+  void arm_deferred(HookSlot<Time, Rest...> Trace::*slot);
+  /// Schedules `fn` to land at the peer `pp` of `from`, `after` from now.
+  /// Sharded runs key it on the directed link's wire channel, whose
+  /// sequence space data and PFC frames share: both are emissions of the
+  /// same link, keyed in the order the sending device produced them.
+  template <typename F>
+  void post_wire(NodeId from, const PortPeer& pp, Time after, F&& fn);
+  /// Schedules out-of-band feedback (CNP, RTT sample) from `from` to host
+  /// `to` after the configured feedback delay, keyed per sending node.
+  template <typename F>
+  void post_oob(NodeId from, NodeId to, F&& fn);
 
   Simulator& sim_;
   const Topology& topo_;
@@ -158,7 +166,7 @@ class Network {
   // tables alive for the engine's entire lifetime.
   topo::ShardPlan plan_;
   std::unique_ptr<ShardedEngine> engine_;
-  std::vector<Trace> shard_traces_;          ///< buffering hooks, per shard
+  std::vector<Trace> shard_traces_;          ///< deferring hooks, per shard
   std::vector<std::uint64_t> wire_seq_;      ///< per directed link (2L)
   std::vector<std::uint64_t> oob_seq_;       ///< per sending node
   std::vector<std::uint64_t> host_pkt_seq_;  ///< per source host

@@ -1,6 +1,7 @@
 #include "dcdl/forensics/trace_io.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "dcdl/dataplane/dataplane.hpp"
@@ -16,11 +17,11 @@ namespace {
 }
 
 /// `"key":<integer>` scan inside one line/object; nullopt when absent.
-std::optional<std::int64_t> find_int(const std::string& s,
-                                     const char* key,
-                                     std::size_t from = 0) {
+/// A value beyond the int64 range is a parse error at `line_no`.
+std::optional<std::int64_t> find_int(const std::string& s, const char* key,
+                                     std::size_t line_no) {
   const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = s.find(needle, from);
+  const std::size_t at = s.find(needle);
   if (at == std::string::npos) return std::nullopt;
   std::size_t p = at + needle.size();
   bool neg = false;
@@ -31,7 +32,11 @@ std::optional<std::int64_t> find_int(const std::string& s,
   if (p >= s.size() || s[p] < '0' || s[p] > '9') return std::nullopt;
   std::int64_t v = 0;
   while (p < s.size() && s[p] >= '0' && s[p] <= '9') {
-    v = v * 10 + (s[p] - '0');
+    const int digit = s[p] - '0';
+    if (v > (std::numeric_limits<std::int64_t>::max() - digit) / 10) {
+      fail(line_no, std::string("integer \"") + key + "\" out of range");
+    }
+    v = v * 10 + digit;
     ++p;
   }
   return neg ? -v : v;
@@ -99,8 +104,10 @@ void parse_topology(const std::string& header, LoadedTrace& out) {
     if (!kind) fail(1, "topology node without kind");
     if (*kind == "switch") {
       out.topo.add_switch(name);
-    } else {
+    } else if (*kind == "host") {
       out.topo.add_host(name);
+    } else {
+      fail(1, "unknown topology node kind '" + *kind + "'");
     }
   }
   // Links replay in add order, reproducing the original per-node port
@@ -108,10 +115,16 @@ void parse_topology(const std::string& header, LoadedTrace& out) {
   const std::string links = bracket_region(
       body, body.find('[', links_at), '[', ']');
   for (const std::string& obj : split_objects(links)) {
-    const auto a = find_int(obj, "a");
-    const auto b = find_int(obj, "b");
-    const auto delay = find_int(obj, "delay_ps");
+    const auto a = find_int(obj, "a", 1);
+    const auto b = find_int(obj, "b", 1);
+    const auto delay = find_int(obj, "delay_ps", 1);
     if (!a || !b) fail(1, "topology link without endpoints");
+    const auto nodes_n = static_cast<std::int64_t>(out.topo.node_count());
+    if (*a < 0 || *a >= nodes_n || *b < 0 || *b >= nodes_n || *a == *b) {
+      fail(1, "topology link " + std::to_string(*a) + "-" +
+                  std::to_string(*b) + " does not join two of the " +
+                  std::to_string(nodes_n) + " nodes");
+    }
     out.topo.add_link(static_cast<NodeId>(*a), static_cast<NodeId>(*b),
                       Rate::gbps(40), Time{delay.value_or(0)});
   }
@@ -124,9 +137,9 @@ void parse_cycle(const std::string& header, LoadedTrace& out) {
   const std::string body = bracket_region(
       header, header.find('[', at), '[', ']');
   for (const std::string& obj : split_objects(body)) {
-    const auto node = find_int(obj, "node");
-    const auto port = find_int(obj, "port");
-    const auto cls = find_int(obj, "cls");
+    const auto node = find_int(obj, "node", 1);
+    const auto port = find_int(obj, "port", 1);
+    const auto cls = find_int(obj, "cls", 1);
     if (!node || !port || !cls) fail(1, "malformed cycle entry");
     out.cycle.push_back(QueueKey{static_cast<NodeId>(*node),
                                  static_cast<PortId>(*port),
@@ -183,27 +196,39 @@ LoadedTrace parse_jsonl(const std::string& content) {
       }
       out.post_mortem = line.find("\"post_mortem\":true") !=
                         std::string::npos;
-      out.detected_at_ps = find_int(line, "detected_at_ps");
+      out.detected_at_ps = find_int(line, "detected_at_ps", 1);
       parse_cycle(line, out);
       parse_topology(line, out);
       continue;
     }
 
     telemetry::TraceRecord r;
-    const auto t = find_int(line, "t_ps");
+    const auto t = find_int(line, "t_ps", line_no);
     const auto kind_name = find_string(line, "kind");
     if (!t || !kind_name) fail(line_no, "record without t_ps/kind");
     const auto kind = kind_from_name(*kind_name);
     if (!kind) fail(line_no, "unknown record kind '" + *kind_name + "'");
     r.t_ps = *t;
     r.kind = *kind;
-    r.node = static_cast<std::uint32_t>(find_int(line, "node").value_or(0));
-    r.flow = static_cast<std::uint32_t>(find_int(line, "flow").value_or(0));
-    r.bytes =
-        static_cast<std::uint32_t>(find_int(line, "bytes").value_or(0));
+    const std::int64_t node = find_int(line, "node", line_no).value_or(0);
+    // A region_state record's node is a region index, not a topology node.
+    if (out.has_topology && *kind != telemetry::RecordKind::kRegionState &&
+        (node < 0 ||
+         node >= static_cast<std::int64_t>(out.topo.node_count()))) {
+      fail(line_no, "record node " + std::to_string(node) +
+                        " is not in the " +
+                        std::to_string(out.topo.node_count()) +
+                        "-node topology");
+    }
+    r.node = static_cast<std::uint32_t>(node);
+    r.flow = static_cast<std::uint32_t>(
+        find_int(line, "flow", line_no).value_or(0));
+    r.bytes = static_cast<std::uint32_t>(
+        find_int(line, "bytes", line_no).value_or(0));
     r.port = static_cast<std::uint16_t>(
-        find_int(line, "port").value_or(kInvalidPort));
-    r.cls = static_cast<std::uint8_t>(find_int(line, "cls").value_or(0));
+        find_int(line, "port", line_no).value_or(kInvalidPort));
+    r.cls = static_cast<std::uint8_t>(
+        find_int(line, "cls", line_no).value_or(0));
     if (*kind == telemetry::RecordKind::kDropped) {
       const auto reason = find_string(line, "reason");
       if (!reason) fail(line_no, "drop record without reason");
@@ -215,13 +240,13 @@ LoadedTrace parse_jsonl(const std::string& content) {
       const auto event = find_string(line, "event");
       if (!event) fail(line_no, "dataplane record without event");
       r.reason = dataplane_event_from_name(*event, line_no);
-      r.bytes =
-          static_cast<std::uint32_t>(find_int(line, "detail").value_or(0));
+      r.bytes = static_cast<std::uint32_t>(
+          find_int(line, "detail", line_no).value_or(0));
     } else if (*kind == telemetry::RecordKind::kRegionState) {
       // Rendered as "region"/"level"; node carries the region index and
       // bytes the direction (1 = escalated to packet).
-      r.node =
-          static_cast<std::uint32_t>(find_int(line, "region").value_or(0));
+      r.node = static_cast<std::uint32_t>(
+          find_int(line, "region", line_no).value_or(0));
       r.bytes = find_string(line, "level").value_or("fluid") == "packet";
     }
     out.records.push_back(r);

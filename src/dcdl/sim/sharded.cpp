@@ -41,7 +41,7 @@ ShardedEngine::ShardedEngine(Simulator& control, int num_shards,
   }
   const std::size_t k = static_cast<std::size_t>(num_shards);
   mail_.resize(k * k);
-  records_.resize(k);
+  deferred_.resize(k);
   merge_cursor_.resize(k);
   round_executed_.assign(k, 0);
   stats_.shard.resize(k);
@@ -117,30 +117,26 @@ void ShardedEngine::drain_mailboxes() {
   }
 }
 
-void ShardedEngine::replay_records() {
-  if (!replay_) {
-    for (std::vector<TraceRec>& r : records_) r.clear();
-    return;
-  }
+void ShardedEngine::fire_deferred() {
   probe::Profiler::Scope span(probe::Profiler::Span::kReplay);
-  for (const std::vector<TraceRec>& r : records_) span.add_units(r.size());
+  for (const std::vector<Deferred>& d : deferred_) span.add_units(d.size());
   // K-way merge by (at, chan, seq, intra). Each shard's buffer is already
   // sorted by that key: a shard executes its events in key order, and
   // same-timestamp events scheduled *during* the window always target a
   // channel >= the one executing (self > oob > wire, and every inter-node
   // latency is strictly positive), so append order == key order.
-  const std::size_t k = records_.size();
+  const std::size_t k = deferred_.size();
   std::fill(merge_cursor_.begin(), merge_cursor_.end(), std::size_t{0});
   for (;;) {
     std::size_t best = k;
     for (std::size_t s = 0; s < k; ++s) {
-      if (merge_cursor_[s] >= records_[s].size()) continue;
+      if (merge_cursor_[s] >= deferred_[s].size()) continue;
       if (best == k) {
         best = s;
         continue;
       }
-      const TraceRec& a = records_[s][merge_cursor_[s]];
-      const TraceRec& b = records_[best][merge_cursor_[best]];
+      const Deferred& a = deferred_[s][merge_cursor_[s]];
+      const Deferred& b = deferred_[best][merge_cursor_[best]];
       if (a.at != b.at ? a.at < b.at
           : a.chan != b.chan ? a.chan < b.chan
           : a.seq != b.seq   ? a.seq < b.seq
@@ -149,10 +145,10 @@ void ShardedEngine::replay_records() {
       }
     }
     if (best == k) break;
-    replay_(records_[best][merge_cursor_[best]]);
+    deferred_[best][merge_cursor_[best]].fire();
     ++merge_cursor_[best];
   }
-  for (std::vector<TraceRec>& r : records_) r.clear();
+  for (std::vector<Deferred>& d : deferred_) d.clear();
 }
 
 void ShardedEngine::device_pass(Time limit_at, std::uint64_t limit_chan) {
@@ -176,7 +172,7 @@ void ShardedEngine::device_pass(Time limit_at, std::uint64_t limit_chan) {
   pass.add_units(total);
   stats_.device_passes++;
   drain_mailboxes();
-  replay_records();
+  fire_deferred();
 }
 
 Time ShardedEngine::min_shard_event_time() {
@@ -199,7 +195,7 @@ bool ShardedEngine::run_core(Time deadline) {
     const Time horizon = saturating_add(tmin, lookahead_);
     if (tctl <= deadline && tctl < horizon) {
       // Control phase at Tc = tctl. Finish all device events with time
-      // <= Tc first (their buffered observations replay before control
+      // <= Tc first (their deferred observations fire before control
       // runs, exactly as in a sequential execution), then drain control on
       // this thread, then re-pass for any device events control injected
       // at Tc — repeat until quiescent at Tc.

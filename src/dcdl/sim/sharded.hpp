@@ -27,6 +27,13 @@
 // event sequence — a pure function of the scenario, byte-identical for
 // every shard count (including 1).
 //
+// Observations obey the same key. A worker never fires a Trace hook: it
+// defers a closure over the observation, tagged with the emitting event's
+// (time, channel, sequence) key plus an intra-event counter, and at each
+// window barrier the coordinator fires every shard's closures in merged key
+// order (defer()). Hooks therefore see one globally ordered stream, and
+// adding a hook needs no engine change.
+//
 // Control events (deadlock-monitor polls, route flaps, campaign guards,
 // stats samplers) live on the *control* simulator — the one the Scenario
 // owns. The engine installs itself as that simulator's run delegate, so
@@ -44,6 +51,7 @@
 #pragma once
 
 #include <barrier>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -51,8 +59,8 @@
 #include <thread>
 #include <vector>
 
+#include "dcdl/common/inplace_fn.hpp"
 #include "dcdl/common/units.hpp"
-#include "dcdl/net/packet.hpp"
 #include "dcdl/sim/simulator.hpp"
 
 namespace dcdl {
@@ -78,35 +86,9 @@ class ScopedShardRequest {
 
 class ShardedEngine final : public Simulator::RunDelegate {
  public:
-  /// A buffered observation, tagged with the ordering key of the event that
-  /// emitted it. Workers append these instead of firing Trace hooks; the
-  /// coordinator k-way-merges all shard buffers by (at, chan, seq, intra)
-  /// and replays them into the real hooks — observers see one globally
-  /// ordered stream, identical for every shard count.
-  enum class RecKind : std::uint8_t {
-    kPfcState,
-    kQueueBytes,
-    kDelivered,
-    kDropped,
-    kTxStart,
-    kCnp,
-    kDataplane,
-    kHopWait,  ///< per-hop queuing delay; value = waited picoseconds
-  };
-  struct TraceRec {
-    Time at = Time::zero();
-    std::uint64_t chan = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t intra = 0;
-    RecKind kind = RecKind::kPfcState;
-    Packet pkt{};  ///< kDelivered / kDropped / kTxStart
-    NodeId node = 0;
-    PortId port = 0;
-    ClassId cls = 0;
-    std::uint8_t flag = 0;    ///< pfc pause bit / drop reason / dp event
-    std::int64_t value = 0;   ///< queue_bytes / dataplane detail
-    FlowId flow = 0;          ///< kCnp
-  };
+  /// Inline capture budget of a deferred observation: the largest hook
+  /// closure holds the slot pointer, a Time, a 48-byte Packet and two ids.
+  static constexpr std::size_t kDeferredBytes = 72;
 
   struct ShardStats {
     std::uint64_t executed = 0;      ///< events fired on this shard
@@ -142,17 +124,20 @@ class ShardedEngine final : public Simulator::RunDelegate {
   void post(std::uint32_t dst_shard, Time at, std::uint64_t chan,
             std::uint64_t seq, EventFn fn);
 
-  /// Appends a trace record to `shard`'s buffer (worker-side).
-  void push_record(std::uint32_t shard, const TraceRec& rec) {
-    records_[shard].push_back(rec);
+  /// Worker-side: defers `fire` (a closure over one observation) on
+  /// `shard`, keyed by the event that shard is executing; the coordinator
+  /// fires it in merged (at, chan, seq, intra) order at the next window
+  /// barrier.
+  template <typename F>
+  void defer(std::uint32_t shard, Time at, F&& fire) {
+    Simulator& sm = *shards_[shard];
+    deferred_[shard].push_back(Deferred{at, sm.current_chan(),
+                                        sm.current_seq(), sm.next_intra(),
+                                        std::forward<F>(fire)});
   }
 
-  /// Sink for merged trace records (the Network's hook replayer).
-  void set_replay(std::function<void(const TraceRec&)> fn) {
-    replay_ = std::move(fn);
-  }
   /// Invoked at the start of every run_until (coordinator thread, workers
-  /// idle) — the Network re-arms per-shard trace buffering to match the
+  /// idle) — the Network re-arms its per-shard deferring hooks to match the
   /// hooks currently attached.
   void set_on_run_start(std::function<void()> fn) {
     on_run_start_ = std::move(fn);
@@ -189,15 +174,23 @@ class ShardedEngine final : public Simulator::RunDelegate {
     std::uint64_t seq;
     EventFn fn;
   };
+  using DeferredFn = InplaceFn<void(), kDeferredBytes>;
+  struct Deferred {
+    Time at;
+    std::uint64_t chan;
+    std::uint64_t seq;
+    std::uint32_t intra;
+    DeferredFn fire;
+  };
 
   void ensure_workers();
   void worker_main(std::uint32_t shard);
   /// One barrier round: every shard executes events with key <
   /// (limit_at, limit_chan), then the coordinator drains mailboxes and
-  /// replays merged trace records.
+  /// fires the merged deferred observations.
   void device_pass(Time limit_at, std::uint64_t limit_chan);
   void drain_mailboxes();
-  void replay_records();
+  void fire_deferred();
   bool run_core(Time deadline);
   Time min_shard_event_time();
 
@@ -207,7 +200,7 @@ class ShardedEngine final : public Simulator::RunDelegate {
   /// mail_[src * K + dst]: single writer (src worker between barriers),
   /// single reader (coordinator at the barrier).
   std::vector<std::vector<RemoteEvent>> mail_;
-  std::vector<std::vector<TraceRec>> records_;
+  std::vector<std::vector<Deferred>> deferred_;
   std::vector<std::size_t> merge_cursor_;
 
   // Round publication: written by the coordinator before the start
@@ -223,7 +216,6 @@ class ShardedEngine final : public Simulator::RunDelegate {
   std::vector<std::thread> workers_;
   bool workers_started_ = false;
 
-  std::function<void(const TraceRec&)> replay_;
   std::function<void()> on_run_start_;
   std::function<void(std::uint32_t)> on_worker_start_;
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -35,6 +37,25 @@ TEST(CampaignParam, ParseStripsUnitSuffix) {
   // "2.5us" keeps its fractional value.
   EXPECT_DOUBLE_EQ(ParamValue::parse("2.5us", &unit).as_double(), 2.5);
   EXPECT_EQ(unit, "us");
+}
+
+TEST(CampaignParam, IntegerTextParsesExactlyOrThrowsNamedError) {
+  // Past 2^53 a double round trip would lose the last digit.
+  EXPECT_EQ(ParamValue::parse("9007199254740993").kind(), ParamKind::kInt);
+  EXPECT_EQ(ParamValue::parse("9007199254740993").as_int(),
+            9007199254740993LL);
+  EXPECT_EQ(ParamValue::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_THROW(ParamValue::parse("99999999999999999999"), CampaignError);
+  EXPECT_THROW(ParamValue::parse("-99999999999999999999gbps"),
+               CampaignError);
+  // inf/nan stay text; numeric accessors reject them by name.
+  EXPECT_EQ(ParamValue::parse("inf").kind(), ParamKind::kString);
+  EXPECT_THROW(ParamValue::parse("inf").as_int(), CampaignError);
+  EXPECT_THROW(ParamValue::parse("nan").as_int(), CampaignError);
+  EXPECT_THROW(ParamValue::parse("-infgbps").as_double(), CampaignError);
+  EXPECT_THROW(ParamValue::of_double(1e19).as_int(), CampaignError);
+  EXPECT_THROW(ParamValue::of_double(-1e19).as_int(), CampaignError);
 }
 
 TEST(CampaignParam, NumericAccessorsCoerceAndStringsThrow) {

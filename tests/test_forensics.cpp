@@ -436,6 +436,73 @@ TEST(TraceIoTest, MalformedInputThrowsWithLineNumbers) {
   EXPECT_THROW(input_from_trace(trace), std::runtime_error);
 }
 
+/// A dump of the 2-node topology {switch 0, `kind1` 1} joined by `link`,
+/// followed by `records`.
+std::string two_node_dump(const std::string& kind1, const std::string& link,
+                          const std::string& records) {
+  return "{\"schema\":\"dcdl.telemetry.v1\",\"record_count\":1,"
+         "\"topology\":{\"nodes\":[{\"kind\":\"switch\",\"name\":\"s\"},"
+         "{\"kind\":\"" +
+         kind1 + "\",\"name\":\"h\"}],\"links\":[" + link + "]}}\n" +
+         records;
+}
+
+/// parse_jsonl must reject `content` with a parse error naming `line`.
+void expect_parse_error(const std::string& content, std::size_t line) {
+  try {
+    parse_jsonl(content);
+    ADD_FAILURE() << "accepted:\n" << content;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "dcdl.telemetry.v1 parse error at line " +
+                  std::to_string(line) + ": "),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TraceIoTest, OutOfRangeValuesAreNamedParseErrors) {
+  const std::string link = "{\"a\":0,\"b\":1,\"delay_ps\":1000}";
+  const std::string rec = "{\"t_ps\":5,\"kind\":\"tx_start\",\"node\":1}\n";
+  const LoadedTrace ok = parse_jsonl(two_node_dump("host", link, rec));
+  ASSERT_TRUE(ok.has_topology);
+  EXPECT_EQ(ok.records.at(0).node, 1u);
+  // Header: a link endpoint past the node list, a self-loop, and an
+  // unknown node kind.
+  expect_parse_error(
+      two_node_dump("host", "{\"a\":0,\"b\":999,\"delay_ps\":1}", rec), 1);
+  expect_parse_error(
+      two_node_dump("host", "{\"a\":1,\"b\":1,\"delay_ps\":1}", rec), 1);
+  expect_parse_error(two_node_dump("swatch", link, rec), 1);
+  // Records: an integer past int64, and nodes outside the topology.
+  expect_parse_error(
+      two_node_dump("host", link,
+                    "{\"t_ps\":5,\"kind\":\"tx_start\",\"node\":"
+                    "12345678901234567890123}\n"),
+      2);
+  expect_parse_error(
+      two_node_dump("host", link,
+                    rec + "{\"t_ps\":6,\"kind\":\"tx_start\",\"node\":7}\n"),
+      3);
+  expect_parse_error(
+      two_node_dump("host", link,
+                    "{\"t_ps\":6,\"kind\":\"delivered\",\"node\":-1}\n"),
+      2);
+  // A region_state record's node is a region index, not a topology node.
+  const LoadedTrace region = parse_jsonl(two_node_dump(
+      "host", link,
+      "{\"t_ps\":6,\"kind\":\"region_state\",\"region\":7,"
+      "\"level\":\"packet\"}\n"));
+  EXPECT_EQ(region.records.at(0).node, 7u);
+  // Without a topology header there is nothing to range-check against.
+  EXPECT_EQ(parse_jsonl("{\"schema\":\"dcdl.telemetry.v1\"}\n" +
+                        std::string("{\"t_ps\":6,\"kind\":\"tx_start\","
+                                    "\"node\":7}\n"))
+                .records.at(0)
+                .node,
+            7u);
+}
+
 TEST(TraceIoTest, DataplaneRecordsRoundTripAndRerenderByteIdentically) {
   // A run with the in-band pipeline on writes kDataplaneDetect (and, under
   // destructive policies, kDataplaneRecover) records into the v1 stream.

@@ -1,12 +1,13 @@
 // Sharded-engine determinism suite.
 //
 // The sharded conservative engine's contract: for every shard count >= 1,
-// the observable stream — every PFC transition, delivery, drop, tx-start,
-// in order — is byte-identical to the single-shard run of the same
+// the observable stream — every PFC transition, queue change, delivery,
+// drop, tx-start, CNP, hop wait and dataplane event, in order — is
+// byte-identical to the single-shard run of the same
 // scenario. These tests pin that contract three ways:
 //   - FNV-1a digests over the full observation stream (the same fold the
 //     golden-trace tests use) compared across shard counts on the paper's
-//     ring, routing-loop, and a k=4 fat-tree permutation;
+//     ring, routing-loop, an ECN incast, and a k=4 fat-tree permutation;
 //   - run_and_check summaries (deadlock verdict, detection instant,
 //     wait-for cycle, trapped bytes, per-flow delivered) and the rendered
 //     forensics report, compared byte-for-byte;
@@ -21,6 +22,7 @@
 // workers allocate during warm-up (slab growth, mailbox capacity).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -154,6 +156,33 @@ std::uint64_t digest_net(Simulator& sim, Network& net, Time run_for) {
         d.event(4, t,
                 (static_cast<std::uint64_t>(node) << 32) | port, pkt.id);
       });
+  stats::append_hook<Time, NodeId, PortId, ClassId, std::int64_t>(
+      tr.queue_bytes,
+      [&d](Time t, NodeId node, PortId port, ClassId cls, std::int64_t b) {
+        d.event(5, t,
+                (static_cast<std::uint64_t>(node) << 32) |
+                    (static_cast<std::uint64_t>(port) << 8) | cls,
+                static_cast<std::uint64_t>(b));
+      });
+  stats::append_hook<Time, FlowId>(
+      tr.cnp, [&d](Time t, FlowId flow) { d.event(6, t, flow, 0); });
+  stats::append_hook<Time, NodeId, PortId, ClassId, Time>(
+      tr.hop_wait,
+      [&d](Time t, NodeId node, PortId port, ClassId cls, Time waited) {
+        d.event(7, t,
+                (static_cast<std::uint64_t>(node) << 32) |
+                    (static_cast<std::uint64_t>(port) << 8) | cls,
+                static_cast<std::uint64_t>(waited.ps()));
+      });
+  stats::append_hook<Time, NodeId, dataplane::DataplaneEvent, ClassId,
+                     std::uint64_t>(
+      tr.dataplane, [&d](Time t, NodeId node, dataplane::DataplaneEvent e,
+                         ClassId cls, std::uint64_t detail) {
+        d.event(8, t,
+                (static_cast<std::uint64_t>(node) << 32) |
+                    (static_cast<std::uint64_t>(e) << 8) | cls,
+                detail);
+      });
   sim.run_until(run_for);
   d.mix(sim.events_executed());
   d.mix(static_cast<std::uint64_t>(net.total_queued_bytes()));
@@ -205,6 +234,23 @@ std::uint64_t fat_tree_digest(int shards, Time run_for) {
   return digest_net(sim, *net, run_for);
 }
 
+/// The leaf-spine incast with ECN marking: every mark becomes an
+/// out-of-band CNP keyed per marking switch, delivered on the source
+/// host's shard. `cnps` counts the CNPs the run fed back.
+std::uint64_t incast_ecn_digest(int shards, Time run_for,
+                                std::uint64_t& cnps) {
+  IncastParams p;
+  p.ecn = true;
+  std::optional<ScopedShardRequest> req;
+  if (shards >= 1) req.emplace(shards);
+  Scenario s = make_incast(p);
+  req.reset();
+  cnps = 0;
+  stats::append_hook<Time, FlowId>(s.net->trace().cnp,
+                                   [&cnps](Time, FlowId) { ++cnps; });
+  return digest_net(*s.sim, *s.net, run_for);
+}
+
 TEST(ShardedDigest, RingInvariantAcrossShardCounts) {
   const std::uint64_t base = ring_digest(1, 2_ms);
   EXPECT_EQ(ring_digest(2, 2_ms), base);
@@ -224,6 +270,19 @@ TEST(ShardedDigest, RoutingLoopBelowBoundaryInvariant) {
   // where every TTL expiry is a cross-shard arrival under 2-way sharding.
   const std::uint64_t base = routing_loop_digest(1, Rate::gbps(4), 2_ms);
   EXPECT_EQ(routing_loop_digest(2, Rate::gbps(4), 2_ms), base);
+}
+
+TEST(ShardedDigest, IncastEcnFeedbackInvariant) {
+  // Pins the out-of-band path: CNP timing, its per-sender sequence space,
+  // and the deferred cnp observation at the destination shard.
+  std::uint64_t cnps = 0;
+  const std::uint64_t base = incast_ecn_digest(1, 2_ms, cnps);
+  ASSERT_GT(cnps, 0u) << "the incast never marked; the ECN path is untested";
+  const std::uint64_t base_cnps = cnps;
+  EXPECT_EQ(incast_ecn_digest(2, 2_ms, cnps), base);
+  EXPECT_EQ(cnps, base_cnps);
+  EXPECT_EQ(incast_ecn_digest(4, 2_ms, cnps), base);
+  EXPECT_EQ(cnps, base_cnps);
 }
 
 TEST(ShardedDigest, FatTreePermutationInvariant) {
@@ -419,7 +478,7 @@ TEST(ShardedZeroAlloc, RoutingLoopSteadyStateAllocatesNothing) {
   // routing loop in perpetual steady state — but on two shards: every
   // window crosses two barriers, every loop packet crosses a mailbox, and
   // none of it may allocate once the warm-up has grown slab, mailbox, and
-  // record buffers to their high-water marks.
+  // deferred-observation buffers to their high-water marks.
   RoutingLoopParams p;
   p.inject = Rate::gbps(4);
   std::optional<ScopedShardRequest> req{std::in_place, 2};
@@ -427,6 +486,24 @@ TEST(ShardedZeroAlloc, RoutingLoopSteadyStateAllocatesNothing) {
   req.reset();
   ASSERT_TRUE(s.net->sharded());
   ASSERT_EQ(s.net->engine().num_shards(), 2);
+  // Observers make the workers defer every observation as a closure; the
+  // largest (a Packet plus two ids) must still fit inline.
+  std::array<std::uint64_t, 5> fired{};
+  Trace& tr = s.net->trace();
+  stats::append_hook<Time, const Packet&, NodeId, PortId>(
+      tr.tx_start,
+      [&fired](Time, const Packet&, NodeId, PortId) { ++fired[0]; });
+  stats::append_hook<Time, const Packet&, NodeId, DropReason>(
+      tr.dropped,
+      [&fired](Time, const Packet&, NodeId, DropReason) { ++fired[1]; });
+  stats::append_hook<Time, const Packet&>(
+      tr.delivered, [&fired](Time, const Packet&) { ++fired[2]; });
+  stats::append_hook<Time, NodeId, PortId, ClassId, std::int64_t>(
+      tr.queue_bytes,
+      [&fired](Time, NodeId, PortId, ClassId, std::int64_t) { ++fired[3]; });
+  stats::append_hook<Time, NodeId, PortId, ClassId, Time>(
+      tr.hop_wait,
+      [&fired](Time, NodeId, PortId, ClassId, Time) { ++fired[4]; });
 
   s.sim->run_until(2_ms);  // warm-up: arenas and mailboxes reach high water
 
@@ -439,6 +516,13 @@ TEST(ShardedZeroAlloc, RoutingLoopSteadyStateAllocatesNothing) {
   const std::uint64_t events = s.sim->events_executed() - events_before;
 
   ASSERT_GE(events, 100'000u) << "window too small to be meaningful";
+  // The loop delivers nothing (every packet circles until its TTL runs
+  // out), so delivered stays armed but silent; the Packet-carrying
+  // closures are exercised by tx_start and dropped.
+  EXPECT_GT(fired[0], 0u) << "tx_start never fired";
+  EXPECT_GT(fired[1], 0u) << "dropped never fired";
+  EXPECT_GT(fired[3], 0u) << "queue_bytes never fired";
+  EXPECT_GT(fired[4], 0u) << "hop_wait never fired";
   EXPECT_EQ(allocs, 0u) << "sharded steady state leaked heap allocations "
                            "across " << events << " events";
 }

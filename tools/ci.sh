@@ -17,7 +17,9 @@
 # the sharded engine additionally re-proves digest equality at 4 shards
 # under TSan (the release-blocking determinism check), the in-switch
 # dataplane pipeline re-proves its recovery timeline byte-identical across
-# shard counts and across campaign --jobs under TSan, the hybrid
+# shard counts and across campaign --jobs under TSan, an ECN incast
+# campaign re-proves its CNP feedback artifacts byte-identical across
+# --jobs x --shards under TSan, the hybrid
 # fluid/packet engine re-proves artifact byte-identity across
 # --jobs x --shards and verdict agreement against the pure packet engine,
 # and the repository benchmark held its baseline. The benchmark builds into
@@ -83,6 +85,25 @@ if [ "$perf" = 1 ]; then
   dp_sweep 4 2 "$tsan_dir/dp_s2.json"
   cmp "$tsan_dir/dp_j1.json" "$tsan_dir/dp_j4.json"
   cmp "$tsan_dir/dp_s1.json" "$tsan_dir/dp_s2.json"
+
+  # ECN feedback leg: CNPs skip the wire and cross shards on the
+  # out-of-band channel, and the sender-side cnp observation is deferred on
+  # the source host's shard. An ECN incast campaign must produce identical
+  # JSON and --trace trees across --jobs x --shards, and its telemetry
+  # dumps must actually carry cnp records.
+  ecn_sweep() {
+    rm -rf "$tsan_dir/ecn_$3"
+    "$tsan_dir/examples/dcdl_sweep" --scenario incast --set "ecn=true" \
+      --seeds 2 --run_ms 6 --jobs "$1" --shards "$2" --quiet \
+      --trace "$tsan_dir/ecn_$3" --out "$tsan_dir/ecn_$3.json"
+  }
+  ecn_sweep 1 1 s1
+  ecn_sweep 4 2 s2
+  cmp "$tsan_dir/ecn_s1.json" "$tsan_dir/ecn_s2.json"
+  diff -r "$tsan_dir/ecn_s1" "$tsan_dir/ecn_s2"
+  for f in "$tsan_dir"/ecn_s1/*.telemetry.jsonl; do
+    grep -q '"kind":"cnp"' "$f"
+  done
 
   # Hybrid-engine equivalence leg: the fluid/packet zoom must perturb
   # neither verdicts nor determinism. The gtest byte-identity suite runs
