@@ -34,10 +34,10 @@ struct ExecutorOptions {
   /// Simulated-time cadence of the cancellation/timeout guard event.
   Time guard_poll = Time{1'000'000'000};  // 1 ms
   /// Shards per run: 0 = legacy single-threaded engine; >= 1 = sharded
-  /// conservative engine with (up to) this many worker threads per run.
-  /// Records are byte-identical for every value >= 1 (a --shards 1 run
-  /// exercises the sharded machinery and matches --shards N exactly;
-  /// shards never appear in the campaign JSON). The legacy engine breaks
+  /// conservative engine with (up to) this many worker threads per run
+  /// (one shard runs inline on the job's thread). Records are
+  /// byte-identical for every value >= 1 (shards never appear in the
+  /// campaign JSON). The legacy engine breaks
   /// same-timestamp ties by insertion order rather than by the canonical
   /// channel keys, so 0 is its own — equally valid — stream. Composes
   /// multiplicatively with `jobs` — a campaign at jobs=J, shards=S runs up

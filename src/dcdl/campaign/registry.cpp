@@ -1,5 +1,9 @@
 #include "dcdl/campaign/registry.hpp"
 
+#include <cmath>
+#include <cstdio>
+#include <string>
+
 #include "dcdl/analysis/boundary.hpp"
 #include "dcdl/analysis/fluid.hpp"
 #include "dcdl/analysis/risk.hpp"
@@ -72,9 +76,36 @@ using scenarios::Scenario;
 
 // Shared knob readers, defaulting to the scenario struct's own defaults so a
 // registered scenario with no overrides is exactly the paper configuration.
+/// The one reader of a rate or duration param: `name` (default
+/// `fallback`) times `scale`, as the int64 count of the unit it converts
+/// to. A non-finite or negative value, or one past the int64 range, is a
+/// CampaignError naming the param — never an out-of-range cast.
+std::int64_t scaled_param(const ParamMap& pm, const char* name,
+                          double fallback, double scale) {
+  double v;
+  try {
+    v = pm.get_double(name, fallback);
+  } catch (const CampaignError& e) {  // text such as inf or nan
+    throw CampaignError("param '" + std::string(name) + "': " + e.what());
+  }
+  const double x = v * scale;
+  // 2^63: the first double past the int64 range.
+  if (!std::isfinite(x) || v < 0 || x >= 9223372036854775808.0) {
+    char text[32];
+    std::snprintf(text, sizeof text, "%g", v);
+    throw CampaignError("param '" + std::string(name) + "' = " + text +
+                        " is out of range: want a finite value >= 0 whose "
+                        "integer unit count fits 64 bits");
+  }
+  return static_cast<std::int64_t>(x);
+}
+
+Rate gbps(const ParamMap& pm, const char* name, double fallback_gbps) {
+  return Rate{scaled_param(pm, name, fallback_gbps, 1e9)};
+}
+
 Time time_us(const ParamMap& pm, const char* name, Time fallback) {
-  return Time{static_cast<std::int64_t>(pm.get_double(name, fallback.us()) *
-                                        1e6)};
+  return Time{scaled_param(pm, name, fallback.us(), 1e6)};
 }
 
 /// Shared "dataplane" knob: the in-switch DCFIT pipeline's recovery policy.
@@ -113,10 +144,10 @@ ScenarioDef::Finisher loop_threshold_metrics(int loop_len, Rate bandwidth,
 scenarios::RoutingLoopParams loop_params(const ParamMap& pm) {
   scenarios::RoutingLoopParams p;
   p.loop_len = static_cast<int>(pm.get_int("loop_len", p.loop_len));
-  p.bandwidth = Rate::gbps(pm.get_double("bw_gbps", p.bandwidth.as_gbps()));
+  p.bandwidth = gbps(pm, "bw_gbps", p.bandwidth.as_gbps());
   p.link_delay = time_us(pm, "link_delay_us", p.link_delay);
   p.ttl = static_cast<int>(pm.get_int("ttl", p.ttl));
-  p.inject = Rate::gbps(pm.get_double("inject", p.inject.as_gbps()));
+  p.inject = gbps(pm, "inject", p.inject.as_gbps());
   p.packet_bytes =
       static_cast<std::uint32_t>(pm.get_int("packet_bytes", p.packet_bytes));
   p.xoff_bytes = pm.get_int("xoff_bytes", p.xoff_bytes);
@@ -182,16 +213,16 @@ void register_four_switch(ScenarioRegistry& reg) {
     scenarios::FourSwitchParams p;
     p.with_flow3 = pm.get_bool("with_flow3", p.with_flow3);
     p.flow3_limit =
-        Rate::gbps(pm.get_double("flow3_limit", p.flow3_limit.as_gbps()));
-    p.bandwidth = Rate::gbps(pm.get_double("bw_gbps", p.bandwidth.as_gbps()));
+        gbps(pm, "flow3_limit", p.flow3_limit.as_gbps());
+    p.bandwidth = gbps(pm, "bw_gbps", p.bandwidth.as_gbps());
     p.link_delay = time_us(pm, "link_delay_us", p.link_delay);
     p.packet_bytes =
         static_cast<std::uint32_t>(pm.get_int("packet_bytes", p.packet_bytes));
     p.xoff_bytes = pm.get_int("xoff_bytes", p.xoff_bytes);
     p.buffer_bytes = pm.get_int("buffer_bytes", p.buffer_bytes);
     p.ttl = static_cast<std::uint8_t>(pm.get_int("ttl", p.ttl));
-    p.tx_jitter = Time{static_cast<std::int64_t>(
-        pm.get_double("tx_jitter_ns", p.tx_jitter.ns()) * 1e3)};
+    p.tx_jitter =
+        Time{scaled_param(pm, "tx_jitter_ns", p.tx_jitter.ns(), 1e3)};
     p.seed = static_cast<std::uint64_t>(pm.get_int("seed", 1));
     p.dataplane = dataplane_cfg(pm);
     return scenarios::make_four_switch(p);
@@ -222,7 +253,7 @@ void register_ring(ScenarioRegistry& reg) {
     p.num_switches =
         static_cast<int>(pm.get_int("num_switches", p.num_switches));
     p.span = static_cast<int>(pm.get_int("span", p.span));
-    p.bandwidth = Rate::gbps(pm.get_double("bw_gbps", p.bandwidth.as_gbps()));
+    p.bandwidth = gbps(pm, "bw_gbps", p.bandwidth.as_gbps());
     p.link_delay = time_us(pm, "link_delay_us", p.link_delay);
     p.packet_bytes =
         static_cast<std::uint32_t>(pm.get_int("packet_bytes", p.packet_bytes));
@@ -230,8 +261,8 @@ void register_ring(ScenarioRegistry& reg) {
     p.ttl = static_cast<std::uint8_t>(pm.get_int("ttl", p.ttl));
     p.num_classes = static_cast<int>(pm.get_int("num_classes", p.num_classes));
     p.hop_classes = pm.get_bool("hop_classes", p.hop_classes);
-    p.tx_jitter = Time{static_cast<std::int64_t>(
-        pm.get_double("tx_jitter_ns", p.tx_jitter.ns()) * 1e3)};
+    p.tx_jitter =
+        Time{scaled_param(pm, "tx_jitter_ns", p.tx_jitter.ns(), 1e3)};
     p.seed = static_cast<std::uint64_t>(pm.get_int("seed", 1));
     p.dataplane = dataplane_cfg(pm);
     return scenarios::make_ring_deadlock(p);
@@ -262,10 +293,10 @@ void register_transient_loop(ScenarioRegistry& reg) {
   def.make = [](const ParamMap& pm) {
     scenarios::TransientLoopParams p;
     p.loop_len = static_cast<int>(pm.get_int("loop_len", p.loop_len));
-    p.bandwidth = Rate::gbps(pm.get_double("bw_gbps", p.bandwidth.as_gbps()));
+    p.bandwidth = gbps(pm, "bw_gbps", p.bandwidth.as_gbps());
     p.link_delay = time_us(pm, "link_delay_us", p.link_delay);
     p.ttl = static_cast<int>(pm.get_int("ttl", p.ttl));
-    p.inject = Rate::gbps(pm.get_double("inject", p.inject.as_gbps()));
+    p.inject = gbps(pm, "inject", p.inject.as_gbps());
     p.packet_bytes =
         static_cast<std::uint32_t>(pm.get_int("packet_bytes", p.packet_bytes));
     p.xoff_bytes = pm.get_int("xoff_bytes", p.xoff_bytes);
@@ -280,9 +311,9 @@ void register_transient_loop(ScenarioRegistry& reg) {
   def.instrument = [](Scenario&, const ParamMap& pm) {
     scenarios::TransientLoopParams p;
     const int loop_len = static_cast<int>(pm.get_int("loop_len", p.loop_len));
-    const Rate bw = Rate::gbps(pm.get_double("bw_gbps", p.bandwidth.as_gbps()));
+    const Rate bw = gbps(pm, "bw_gbps", p.bandwidth.as_gbps());
     const int ttl = static_cast<int>(pm.get_int("ttl", p.ttl));
-    const Rate inject = Rate::gbps(pm.get_double("inject", p.inject.as_gbps()));
+    const Rate inject = gbps(pm, "inject", p.inject.as_gbps());
     return loop_threshold_metrics(loop_len, bw, ttl, inject);
   };
   reg.add(std::move(def));
@@ -309,14 +340,14 @@ void register_valley(ScenarioRegistry& reg) {
     scenarios::ValleyViolationParams p;
     p.with_extra_flow = pm.get_bool("with_extra_flow", p.with_extra_flow);
     p.strict_up_down = pm.get_bool("strict_up_down", p.strict_up_down);
-    p.bandwidth = Rate::gbps(pm.get_double("bw_gbps", p.bandwidth.as_gbps()));
+    p.bandwidth = gbps(pm, "bw_gbps", p.bandwidth.as_gbps());
     p.link_delay = time_us(pm, "link_delay_us", p.link_delay);
     p.packet_bytes =
         static_cast<std::uint32_t>(pm.get_int("packet_bytes", p.packet_bytes));
     p.xoff_bytes = pm.get_int("xoff_bytes", p.xoff_bytes);
     p.ttl = static_cast<std::uint8_t>(pm.get_int("ttl", p.ttl));
-    p.tx_jitter = Time{static_cast<std::int64_t>(
-        pm.get_double("tx_jitter_ns", p.tx_jitter.ns()) * 1e3)};
+    p.tx_jitter =
+        Time{scaled_param(pm, "tx_jitter_ns", p.tx_jitter.ns(), 1e3)};
     p.seed = static_cast<std::uint64_t>(pm.get_int("seed", 1));
     p.dataplane = dataplane_cfg(pm);
     return scenarios::make_valley_violation(p);
@@ -350,7 +381,7 @@ void register_incast(ScenarioRegistry& reg) {
     p.hosts_per_leaf =
         static_cast<int>(pm.get_int("hosts_per_leaf", p.hosts_per_leaf));
     p.num_senders = static_cast<int>(pm.get_int("senders", p.num_senders));
-    p.bandwidth = Rate::gbps(pm.get_double("bw_gbps", p.bandwidth.as_gbps()));
+    p.bandwidth = gbps(pm, "bw_gbps", p.bandwidth.as_gbps());
     p.link_delay = time_us(pm, "link_delay_us", p.link_delay);
     p.packet_bytes =
         static_cast<std::uint32_t>(pm.get_int("packet_bytes", p.packet_bytes));
@@ -391,18 +422,18 @@ void register_fluid_gap(ScenarioRegistry& reg) {
       scenarios::RoutingLoopParams p;
       p.loop_len = static_cast<int>(pm.get_int("loop_len", p.loop_len));
       p.bandwidth =
-          Rate::gbps(pm.get_double("bw_gbps", p.bandwidth.as_gbps()));
+          gbps(pm, "bw_gbps", p.bandwidth.as_gbps());
       p.ttl = static_cast<int>(pm.get_int("ttl", p.ttl));
-      p.inject = Rate::gbps(pm.get_double("inject", p.inject.as_gbps()));
+      p.inject = gbps(pm, "inject", p.inject.as_gbps());
       return scenarios::make_routing_loop(p);
     }
     if (family == "four_switch") {
       scenarios::FourSwitchParams p;
       p.with_flow3 = pm.get_bool("with_flow3", true);
       p.flow3_limit =
-          Rate::gbps(pm.get_double("flow3_limit", p.flow3_limit.as_gbps()));
+          gbps(pm, "flow3_limit", p.flow3_limit.as_gbps());
       p.bandwidth =
-          Rate::gbps(pm.get_double("bw_gbps", p.bandwidth.as_gbps()));
+          gbps(pm, "bw_gbps", p.bandwidth.as_gbps());
       p.seed = static_cast<std::uint64_t>(pm.get_int("seed", 1));
       return scenarios::make_four_switch(p);
     }
@@ -412,18 +443,17 @@ void register_fluid_gap(ScenarioRegistry& reg) {
   def.instrument = [](Scenario&, const ParamMap& pm) -> ScenarioDef::Finisher {
     return [pm](const RunRecord&, MetricSink& out) {
       const std::string family = pm.get_string("family", "loop");
-      const Time horizon{static_cast<std::int64_t>(
-          pm.get_double("fluid_run_ms", 10.0) * 1e9)};
+      const Time horizon{scaled_param(pm, "fluid_run_ms", 10.0, 1e9)};
       analysis::FluidResult fr;
       if (family == "loop") {
         scenarios::RoutingLoopParams p;
         const int loop_len =
             static_cast<int>(pm.get_int("loop_len", p.loop_len));
         const Rate bw =
-            Rate::gbps(pm.get_double("bw_gbps", p.bandwidth.as_gbps()));
+            gbps(pm, "bw_gbps", p.bandwidth.as_gbps());
         const int ttl = static_cast<int>(pm.get_int("ttl", p.ttl));
         const Rate inject =
-            Rate::gbps(pm.get_double("inject", p.inject.as_gbps()));
+            gbps(pm, "inject", p.inject.as_gbps());
         analysis::FluidModel fm =
             analysis::make_fluid_routing_loop(loop_len, bw, ttl, inject);
         fr = fm.run(horizon);
@@ -438,10 +468,10 @@ void register_fluid_gap(ScenarioRegistry& reg) {
                              : 0);
       } else {
         const bool with_flow3 = pm.get_bool("with_flow3", true);
-        const double limit = pm.get_double("flow3_limit", 0.0);
+        const Rate limit = gbps(pm, "flow3_limit", 0.0);
         // The fluid model needs an explicit demand; greedy = line rate.
-        const Rate flow3 = Rate::gbps(
-            limit > 0 ? limit : pm.get_double("bw_gbps", 40.0));
+        const Rate flow3 =
+            limit > Rate::zero() ? limit : gbps(pm, "bw_gbps", 40.0);
         analysis::FluidFourSwitch fs =
             analysis::make_fluid_four_switch(with_flow3, flow3);
         fr = fs.model.run(horizon);
@@ -484,13 +514,13 @@ void register_risk_probe(ScenarioRegistry& reg) {
       scenarios::FourSwitchParams p;
       p.with_flow3 = pm.get_bool("with_flow3", p.with_flow3);
       p.flow3_limit =
-          Rate::gbps(pm.get_double("flow3_limit", p.flow3_limit.as_gbps()));
+          gbps(pm, "flow3_limit", p.flow3_limit.as_gbps());
       p.seed = seed;
       return scenarios::make_four_switch(p);
     }
     if (family == "loop") {
       scenarios::RoutingLoopParams p;
-      p.inject = Rate::gbps(pm.get_double("inject", p.inject.as_gbps()));
+      p.inject = gbps(pm, "inject", p.inject.as_gbps());
       return scenarios::make_routing_loop(p);
     }
     if (family == "ring") {
@@ -516,12 +546,12 @@ void register_risk_probe(ScenarioRegistry& reg) {
     const std::string family = pm.get_string("family", "four_switch");
     std::vector<Rate> demands;
     if (family == "loop") {
-      demands = {Rate::gbps(pm.get_double(
-          "inject", scenarios::RoutingLoopParams{}.inject.as_gbps()))};
+      demands = {gbps(pm, 
+          "inject", scenarios::RoutingLoopParams{}.inject.as_gbps())};
     } else if (family == "four_switch") {
-      const double limit = pm.get_double("flow3_limit", 0.0);
-      if (pm.get_bool("with_flow3", false) && limit > 0) {
-        demands = {Rate::zero(), Rate::zero(), Rate::gbps(limit)};
+      const Rate limit = gbps(pm, "flow3_limit", 0.0);
+      if (pm.get_bool("with_flow3", false) && limit > Rate::zero()) {
+        demands = {Rate::zero(), Rate::zero(), limit};
       }
     }
     const analysis::RiskReport risk =

@@ -80,6 +80,7 @@ void Network::init_sharding(int requested_shards) {
   wire_seq_.assign(2 * static_cast<std::size_t>(topo_.link_count()), 0);
   oob_seq_.assign(topo_.node_count(), 0);
   host_pkt_seq_.assign(topo_.node_count(), 0);
+  if (plan_.num_shards == 1) return;  // runs inline: hooks fire directly
   shard_traces_.resize(static_cast<std::size_t>(plan_.num_shards));
   engine_->set_on_worker_start(
       [this](std::uint32_t s) { tls_trace_ = &shard_traces_[s]; });

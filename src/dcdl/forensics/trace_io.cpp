@@ -131,6 +131,21 @@ void parse_topology(const std::string& header, LoadedTrace& out) {
   out.has_topology = true;
 }
 
+/// `port` must be one of `node`'s ports (any 16-bit port without a
+/// topology).
+void check_port(std::size_t line_no, std::int64_t node, std::int64_t port,
+                const LoadedTrace& out) {
+  const std::int64_t ports =
+      out.has_topology ? static_cast<std::int64_t>(
+                             out.topo.degree(static_cast<NodeId>(node)))
+                       : std::int64_t{kInvalidPort};
+  if (port < 0 || port >= ports) {
+    fail(line_no, "port " + std::to_string(port) + " is not a port of node " +
+                      std::to_string(node));
+  }
+}
+
+/// Runs after parse_topology, so entries are checked against it.
 void parse_cycle(const std::string& header, LoadedTrace& out) {
   const std::size_t at = header.find("\"cycle\":");
   if (at == std::string::npos) return;
@@ -141,6 +156,16 @@ void parse_cycle(const std::string& header, LoadedTrace& out) {
     const auto port = find_int(obj, "port", 1);
     const auto cls = find_int(obj, "cls", 1);
     if (!node || !port || !cls) fail(1, "malformed cycle entry");
+    const std::int64_t nodes =
+        out.has_topology ? static_cast<std::int64_t>(out.topo.node_count())
+                         : std::int64_t{1} << 32;
+    if (*node < 0 || *node >= nodes) {
+      fail(1, "cycle node " + std::to_string(*node) + " is out of range");
+    }
+    check_port(1, *node, *port, out);
+    if (*cls < 0 || *cls > 255) {
+      fail(1, "cycle class " + std::to_string(*cls) + " is out of range");
+    }
     out.cycle.push_back(QueueKey{static_cast<NodeId>(*node),
                                  static_cast<PortId>(*port),
                                  static_cast<ClassId>(*cls)});
@@ -197,8 +222,8 @@ LoadedTrace parse_jsonl(const std::string& content) {
       out.post_mortem = line.find("\"post_mortem\":true") !=
                         std::string::npos;
       out.detected_at_ps = find_int(line, "detected_at_ps", 1);
-      parse_cycle(line, out);
       parse_topology(line, out);
+      parse_cycle(line, out);
       continue;
     }
 
@@ -225,8 +250,11 @@ LoadedTrace parse_jsonl(const std::string& content) {
         find_int(line, "flow", line_no).value_or(0));
     r.bytes = static_cast<std::uint32_t>(
         find_int(line, "bytes", line_no).value_or(0));
-    r.port = static_cast<std::uint16_t>(
-        find_int(line, "port", line_no).value_or(kInvalidPort));
+    const std::optional<std::int64_t> port = find_int(line, "port", line_no);
+    if (port && *kind != telemetry::RecordKind::kRegionState) {
+      check_port(line_no, node, *port, out);
+    }
+    r.port = static_cast<std::uint16_t>(port.value_or(kInvalidPort));
     r.cls = static_cast<std::uint8_t>(
         find_int(line, "cls", line_no).value_or(0));
     if (*kind == telemetry::RecordKind::kDropped) {

@@ -58,7 +58,7 @@ ShardedEngine::~ShardedEngine() {
 }
 
 void ShardedEngine::ensure_workers() {
-  if (workers_started_) return;
+  if (workers_started_ || shards_.size() == 1) return;
   workers_started_ = true;
   const std::ptrdiff_t parties = num_shards() + 1;  // workers + coordinator
   start_gate_.emplace(parties);
@@ -152,6 +152,15 @@ void ShardedEngine::fire_deferred() {
 }
 
 void ShardedEngine::device_pass(Time limit_at, std::uint64_t limit_chan) {
+  if (shards_.size() == 1) {
+    // One shard runs inline on the coordinator: no worker, no barrier, no
+    // mailbox, and hooks fire directly — a single shard fires in key
+    // order, which is the order the merge would replay them in.
+    probe::Profiler::Scope loop(probe::Profiler::Span::kEventLoop);
+    round_executed_[0] = shards_[0]->run_keyed_window(limit_at, limit_chan);
+    loop.add_units(account_pass());
+    return;
+  }
   probe::Profiler::Scope pass(probe::Profiler::Span::kDevicePass);
   round_at_ = limit_at;
   round_chan_ = limit_chan;
@@ -162,6 +171,12 @@ void ShardedEngine::device_pass(Time limit_at, std::uint64_t limit_chan) {
     start_gate_->arrive_and_wait();
     end_gate_->arrive_and_wait();
   }
+  pass.add_units(account_pass());
+  drain_mailboxes();
+  fire_deferred();
+}
+
+std::uint64_t ShardedEngine::account_pass() {
   std::uint64_t total = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     total += round_executed_[s];
@@ -169,10 +184,8 @@ void ShardedEngine::device_pass(Time limit_at, std::uint64_t limit_chan) {
     if (round_executed_[s] == 0) stats_.shard[s].idle_windows++;
   }
   ctl_->credit_external_events(total);
-  pass.add_units(total);
   stats_.device_passes++;
-  drain_mailboxes();
-  fire_deferred();
+  return total;
 }
 
 Time ShardedEngine::min_shard_event_time() {

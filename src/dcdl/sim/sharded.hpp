@@ -48,6 +48,12 @@
 // everything the coordinator reads was written before the end barrier. No
 // locks, no atomics on the event path — ThreadSanitizer-clean by
 // construction (see DESIGN.md "Sharded simulation architecture").
+//
+// A single shard runs inline: its device pass executes on the coordinator
+// with no worker thread, no barrier and no deferral (hooks fire directly;
+// a lone shard fires in key order, the order the merge would replay them
+// in), so --shards 1 produces the same bytes as every other shard count
+// without paying for threads.
 #pragma once
 
 #include <barrier>
@@ -69,7 +75,9 @@ namespace dcdl {
 /// object is alive should run on a sharded engine with (up to) `shards`
 /// shards. Scenario factories don't take engine parameters; this is how
 /// callers (CLI --shards, campaign executor, tests) opt a construction in.
-/// shards <= 1 requests the legacy single-threaded engine.
+/// shards <= 0 (or no request) keeps the legacy scheduling-order engine;
+/// 1 is the keyed engine with its one shard run inline on the caller's
+/// thread.
 class ScopedShardRequest {
  public:
   explicit ScopedShardRequest(int shards);
@@ -187,8 +195,11 @@ class ShardedEngine final : public Simulator::RunDelegate {
   void worker_main(std::uint32_t shard);
   /// One barrier round: every shard executes events with key <
   /// (limit_at, limit_chan), then the coordinator drains mailboxes and
-  /// fires the merged deferred observations.
+  /// fires the merged deferred observations. A lone shard runs inline.
   void device_pass(Time limit_at, std::uint64_t limit_chan);
+  /// Folds round_executed_ into the stats and the control simulator's
+  /// executed count; returns the pass's event total.
+  std::uint64_t account_pass();
   void drain_mailboxes();
   void fire_deferred();
   bool run_core(Time deadline);

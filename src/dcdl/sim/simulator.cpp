@@ -14,30 +14,37 @@ thread_local Simulator::Arena* Simulator::arena_stash_ = nullptr;
 Simulator::Simulator() {
   if (arena_scope_depth_ > 0 && arena_stash_ != nullptr) {
     heap_ = std::move(arena_stash_->heap);
-    chunks_ = std::move(arena_stash_->chunks);
-    cap_ = arena_stash_->cap;
+    for (int i = 0; i < kLanes; ++i) {
+      lanes_[i].buf = std::move(arena_stash_->lanes[i]);
+    }
+    sort_keys_ = std::move(arena_stash_->sort_keys);
+    sort_tmp_ = std::move(arena_stash_->sort_tmp);
     slab_ = std::move(arena_stash_->slab);
     free_slots_ = std::move(arena_stash_->free_slots);
     delete arena_stash_;
     arena_stash_ = nullptr;
-    for (std::size_t c = chunks_.size(); c-- > 0;) {
-      chunks_[c].next = free_chunk_;
-      free_chunk_ = static_cast<std::uint32_t>(c);
-    }
+  }
+  // Every lane gets its first buffer up front: a lane first keyed late in
+  // a run would otherwise allocate then.
+  for (Lane& l : lanes_) {
+    if (l.buf.empty()) l.buf.resize(kLaneMin);
   }
 }
 
 Simulator::~Simulator() {
   if (arena_scope_depth_ > 0 && arena_stash_ == nullptr) {
     // clear() destroys pending closures but keeps vector capacity — the
-    // next Simulator on this thread starts with a warmed arena. The chunk
-    // pool holds only POD entries and keeps its size; the adopter relinks
-    // all of it as free.
+    // next Simulator on this thread starts with a warmed arena. The lane
+    // buffers hold only POD entries and keep their size.
     heap_.clear();
     slab_.clear();
     free_slots_.clear();
-    arena_stash_ = new Arena{std::move(heap_), std::move(chunks_), cap_,
-                             std::move(slab_), std::move(free_slots_)};
+    arena_stash_ = new Arena{std::move(heap_),      {},
+                             std::move(sort_keys_), std::move(sort_tmp_),
+                             std::move(slab_),      std::move(free_slots_)};
+    for (int i = 0; i < kLanes; ++i) {
+      arena_stash_->lanes[i] = std::move(lanes_[i].buf);
+    }
   }
 }
 
@@ -73,66 +80,95 @@ EventId Simulator::push_entry(Time at, std::uint64_t chan, std::uint64_t seq,
 }
 
 void Simulator::enqueue(const Entry& e) {
-  if (entries_ == cap_) grow_queue();
   if (++entries_ > heap_high_water_) heap_high_water_ = entries_;
-  // The lane already keyed to this delay, else the first empty lane.
+  // The lane already keyed to this delay, else the first empty lane. A
+  // zero delay takes the heap: its entry may sort before the front of a
+  // run that is being popped right now.
   const Time delay = e.at - now_;
-  int i = -1;
-  for (int k = 0; k < kLanes; ++k) {
-    if (lanes_[k].delay == delay) {
-      i = k;
-      break;
+  if (delay > Time::zero()) {
+    int i = -1;
+    for (int k = 0; k < kLanes; ++k) {
+      if (lanes_[k].delay == delay) {
+        i = k;
+        break;
+      }
+      if (i < 0 && (lane_mask_ & (1u << k)) == 0) i = k;
     }
-    if (i < 0 && lanes_[k].count == 0) i = k;
+    if (i >= 0) {
+      append(i, delay, e);
+      return;
+    }
   }
-  // Append only past the tail, so the lane stays sorted; an earlier key (a
-  // same-time keyed event on a lower channel) takes the heap.
-  if (i >= 0 &&
-      (lanes_[i].count == 0 || EntryAfter{}(e, lane_tail(i)))) {
-    lanes_[i].delay = delay;  // re-keys an empty lane
-    append(i, e);
-    return;
-  }
-  // Sized for every pending entry on its first use after each growth, so a
-  // heap push never reallocates; runs whose delays all ride lanes (every
-  // device workload measured) never allocate it.
-  if (heap_.capacity() < cap_) heap_.reserve(cap_);
   heap_.push_back(e);
   std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
 }
 
-void Simulator::append(int i, const Entry& e) {
-  Lane& lane = lanes_[i];
-  if (lane.count == 0 || lane.tail == kChunk) {
-    std::uint32_t c = free_chunk_;
-    if (c != kNoChunk) {
-      free_chunk_ = chunks_[c].next;
-      chunks_[c].next = kNoChunk;
-    } else {
-      // Within the capacity grow_queue reserved: never reallocates.
-      DCDL_ASSERT(chunks_.size() < chunks_.capacity());
-      c = static_cast<std::uint32_t>(chunks_.size());
-      chunks_.emplace_back();
+void Simulator::append(int i, Time delay, const Entry& e) {
+  Lane& l = lanes_[i];
+  if ((lane_mask_ & (1u << i)) == 0) {
+    l.delay = delay;  // re-keys an empty lane
+    lane_mask_ |= 1u << i;
+  } else {
+    const Entry& last = l.buf[l.tail - 1];
+    if (e.at != last.at) {
+      // A later timestamp closes the open run: no entry can join it now.
+      if (l.unsorted) sort_run(l);
+      l.run = l.tail;
+    } else if (tie_before(e, last)) {
+      if (!l.unsorted) {
+        l.unsorted = true;
+        l.run_min = l.buf[std::max(l.head, l.run)];
+      }
+      if (tie_before(e, l.run_min)) l.run_min = e;
     }
-    if (lane.count == 0) {
-      lane.head_chunk = c;
-      lane.head = 0;
-    } else {
-      chunks_[lane.tail_chunk].next = c;
-    }
-    lane.tail_chunk = c;
-    lane.tail = 0;
   }
-  chunks_[lane.tail_chunk].e[lane.tail++] = e;
-  ++lane.count;
-  lane_mask_ |= 1u << i;
+  if (l.tail == l.buf.size()) make_room(l);
+  l.buf[l.tail++] = e;
 }
 
-void Simulator::grow_queue() {
-  cap_ = cap_ == 0 ? 16 : 2 * cap_;
-  // A lane of n entries spans at most n / kChunk + 2 chunks. Chunks are
-  // constructed on first use, so only the ones the lanes touch cost memory.
-  chunks_.reserve(cap_ / kChunk + 2 * kLanes);
+void Simulator::make_room(Lane& l) {
+  const std::uint32_t n = l.tail - l.head;
+  if (2 * n > l.buf.size()) l.buf.resize(2 * l.buf.size());
+  std::copy(l.buf.begin() + l.head, l.buf.begin() + l.tail, l.buf.begin());
+  l.run = l.run > l.head ? l.run - l.head : 0;
+  l.head = 0;
+  l.tail = n;
+}
+
+void Simulator::sort_run(Lane& l) {
+  l.unsorted = false;
+  Entry* const first = l.buf.data() + std::max(l.head, l.run);
+  const std::size_t n = static_cast<std::size_t>(l.buf.data() + l.tail - first);
+  // Fast path: sort 8-byte (chan, position) keys and gather the entries.
+  // Position order stands in for seq order because each channel's events
+  // reach a lane in rising seq (every channel has one scheduling writer);
+  // the gather checks that and falls back to the full sort if it fails.
+  constexpr int kPosBits = 20;
+  constexpr std::uint64_t kPosMask = (std::uint64_t{1} << kPosBits) - 1;
+  bool keyed = n <= kPosMask;
+  if (keyed) {
+    if (sort_keys_.size() < n) {
+      sort_keys_.resize(n);
+      sort_tmp_.resize(n);
+    }
+    for (std::size_t i = 0; i < n && keyed; ++i) {
+      keyed = first[i].chan >> (64 - kPosBits) == 0;
+      sort_keys_[i] = first[i].chan << kPosBits | i;
+    }
+  }
+  if (keyed) {
+    std::sort(sort_keys_.begin(), sort_keys_.begin() + n);
+    for (std::size_t i = 0; i < n && keyed; ++i) {
+      sort_tmp_[i] = first[sort_keys_[i] & kPosMask];
+      keyed = i == 0 || tie_before(sort_tmp_[i - 1], sort_tmp_[i]);
+    }
+  }
+  if (keyed) {
+    std::copy(sort_tmp_.begin(), sort_tmp_.begin() + n, first);
+    return;
+  }
+  std::sort(first, first + n,
+            [](const Entry& a, const Entry& b) { return tie_before(a, b); });
 }
 
 EventId Simulator::schedule_at(Time at, EventFn fn) {
@@ -167,13 +203,18 @@ const Simulator::Entry* Simulator::peek(int& src) {
     src = kHeap;
     for (std::uint32_t m = lane_mask_; m != 0; m &= m - 1) {
       const int i = std::countr_zero(m);
-      const Entry& front = lane_front(i);
+      const Entry& front = lane_min(lanes_[i]);
       if (best == nullptr || EntryAfter{}(*best, front)) {
         best = &front;
         src = i;
       }
     }
     if (best == nullptr) return nullptr;
+    if (src != kHeap) {
+      Lane& l = lanes_[src];
+      if (l.unsorted && l.head >= l.run) sort_run(l);  // brings run_min up
+      best = &l.buf[l.head];
+    }
     const Slot& s = slab_[best->slot];
     if (s.live && s.gen == best->gen) return best;
     pop(src);  // cancelled husk: reclaim
@@ -187,16 +228,10 @@ void Simulator::pop(int src) {
     heap_.pop_back();
     return;
   }
-  Lane& lane = lanes_[src];
-  ++lane.head;
-  if (--lane.count == 0 || lane.head == kChunk) {
-    // Return the drained chunk to the pool.
-    const std::uint32_t c = lane.head_chunk;
-    lane.head_chunk = chunks_[c].next;
-    lane.head = 0;
-    chunks_[c].next = free_chunk_;
-    free_chunk_ = c;
-    if (lane.count == 0) lane_mask_ &= ~(1u << src);
+  Lane& l = lanes_[src];
+  if (++l.head == l.tail) {
+    l.head = l.tail = l.run = 0;
+    lane_mask_ &= ~(1u << src);
   }
 }
 

@@ -1,41 +1,49 @@
 // Single-threaded discrete-event simulation engine.
 //
-// Determinism: events at the same timestamp fire in scheduling order (a
-// monotonically increasing sequence number breaks ties), so a scenario with
-// a fixed RNG seed replays identically. The golden-trace tests pin this
-// ordering across engine refactors.
-//
-// Keyed scheduling (sharded mode): schedule_keyed() orders events by an
-// explicit (time, channel, sequence) key instead of the global scheduling
-// sequence. Channel/sequence pairs are assigned by the caller from
-// topology-derived identities (wire, per-node timer, out-of-band path), so
-// the execution order is a pure function of the scenario — independent of
-// how many shard simulators the run is split across. Legacy schedule_at()
-// uses channel 0 with the global sequence, which makes the extended
-// comparator degenerate to the historical (time, seq) order bit-for-bit.
+// Ordering: every event carries a (time, channel, sequence) key and events
+// fire in key order, so a scenario with a fixed RNG seed replays
+// identically. schedule_keyed() takes an explicit key; the device layer
+// assigns channel/sequence pairs from topology-derived identities (wire,
+// per-node timer, out-of-band path), so the device event order is a pure
+// function of the scenario, independent of how many shard simulators the
+// run is split across (see sim/sharded.hpp). schedule_at() uses channel 0
+// with a per-simulator scheduling sequence, so its events at one timestamp
+// fire in scheduling order (control events such as monitors, samplers and
+// route flaps, and every device event of the legacy unsharded engine). The
+// golden-trace tests pin the legacy order across engine refactors.
 //
 // Event queue: a binary min-heap on (time, chan, seq) fronted by up to
-// kLanes FIFO delay lanes. Device events reuse a handful of delays
+// kLanes delay lanes. Device events reuse a handful of delays
 // (serialization, serialization plus propagation, pause refresh, monitor
 // and probe periods), so each lane holds the pending entries scheduled
-// with one delay (at - now). An entry is appended to its delay's lane only
-// if its key is greater than the lane's tail; otherwise it goes to the
-// heap, and an empty lane may be re-keyed to a new delay. Every lane is
-// therefore sorted, and a pop takes the least of the heap top and the lane
-// fronts — the same global key order a single heap yields. Because the
-// keys are unique, the fire order, the moment each cancelled husk is
-// reclaimed (when it is the global minimum), slot recycling and every
-// counter are exactly those of the plain heap; heap_entries() and
-// counters().heap_high_water count all pending entries, lanes included.
+// with one non-zero delay (at - now); zero-delay entries, and delays no
+// lane is keyed to while none is empty, take the heap. Because the clock
+// never runs backwards, a lane's entries arrive in non-decreasing time:
+// the only disorder is a same-time tie, where a keyed event on a lower
+// channel is scheduled after one on a higher channel (lockstep fabrics
+// with identical links produce many). Each lane therefore keeps its
+// entries in time order and tracks its *open run*, the entries that share
+// the tail's timestamp. A tie below the tail marks the run unsorted and
+// updates the run's least entry; the run is sorted once, in place by
+// (chan, seq), when a later timestamp closes it or when a pop needs its
+// least entry, whichever comes first. A tie-free lane is a plain FIFO
+// append. A pop takes the least of the heap top and the lane fronts: the
+// same global key order a single heap yields. Because the keys are unique,
+// the fire order, the moment each cancelled husk is reclaimed (when it is
+// the global minimum), slot recycling and every counter are exactly those
+// of the plain heap; heap_entries() and counters().heap_high_water count
+// all pending entries, lanes included.
 //
 // Hot-path memory architecture (see DESIGN.md): callbacks live in a
 // generation-tagged slab of fixed-size records recycled through a free
 // list, the heap and the lanes hold only POD (time, chan, seq, slot, gen)
 // entries, and closures are stored inline via InplaceFn — steady-state
 // scheduling, firing, and cancelling perform zero heap allocation and zero
-// hashing. Storage grows only when the pending count reaches a new
-// power-of-two high-water mark: the lanes' chunk pool is then reserved for
-// that many entries, and the heap is on its next use.
+// hashing. Each lane is one contiguous buffer that slides its entries back
+// to the start when its tail reaches the end, and doubles only when it is
+// more than half full — so storage grows only when the heap or a lane
+// reaches a new high-water mark, and ScopedArenaRecycling recycles all of
+// it.
 #pragma once
 
 #include <cstdint>
@@ -218,8 +226,7 @@ class Simulator {
   };
 
   /// "a fires after b" — used as the comparator of a std::push_heap /
-  /// std::pop_heap min-heap on (at, chan, seq). Legacy events all carry
-  /// chan 0, so their order is the historical (at, seq).
+  /// std::pop_heap min-heap on (at, chan, seq).
   struct EntryAfter {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.at != b.at) return a.at > b.at;
@@ -227,6 +234,10 @@ class Simulator {
       return a.seq > b.seq;
     }
   };
+  /// (chan, seq) order of two entries at the same timestamp.
+  static bool tie_before(const Entry& a, const Entry& b) {
+    return a.chan != b.chan ? a.chan < b.chan : a.seq < b.seq;
+  }
 
   struct Slot {
     EventFn fn;
@@ -234,33 +245,30 @@ class Simulator {
     bool live = false;
   };
 
-  /// Lanes store entries in fixed-size chunks drawn from one shared pool.
-  static constexpr std::uint32_t kChunk = 32;
-  static constexpr std::uint32_t kNoChunk = 0xFFFFFFFFu;
-  struct Chunk {
-    Entry e[kChunk];
-    std::uint32_t next = kNoChunk;  // next chunk of the lane / free list
-  };
-
-  /// A FIFO of entries that were all scheduled `delay` after the clock of
-  /// their scheduling, kept in key order: a chain of pool chunks, read at
-  /// `head` in the first and appended at `tail` in the last.
+  /// The pending entries scheduled `delay` after the clock of their
+  /// scheduling, in time order: buf[head, tail). The open run
+  /// buf[run, tail) holds the entries at the tail's timestamp; while
+  /// `unsorted`, a tie arrived below the tail and `run_min` is the run's
+  /// least entry (everything before the run is sorted).
   struct Lane {
     Time delay{-1};  // no scheduling delay is negative: never matches
-    std::uint32_t head_chunk = kNoChunk;
-    std::uint32_t tail_chunk = kNoChunk;
+    std::vector<Entry> buf;
     std::uint32_t head = 0;
     std::uint32_t tail = 0;
-    std::uint32_t count = 0;
+    std::uint32_t run = 0;
+    bool unsorted = false;
+    Entry run_min{};
   };
   static constexpr int kLanes = 8;
+  static constexpr std::size_t kLaneMin = 16;  // a lane's first buffer
   static constexpr int kHeap = kLanes;  // source index of the heap top
 
   /// Recyclable storage (see ScopedArenaRecycling).
   struct Arena {
     std::vector<Entry> heap;
-    std::vector<Chunk> chunks;
-    std::size_t cap;
+    std::vector<Entry> lanes[kLanes];
+    std::vector<std::uint64_t> sort_keys;
+    std::vector<Entry> sort_tmp;
     std::vector<Slot> slab;
     std::vector<std::uint32_t> free_slots;
   };
@@ -268,16 +276,16 @@ class Simulator {
   EventId push_entry(Time at, std::uint64_t chan, std::uint64_t seq,
                      EventFn fn);
   void enqueue(const Entry& e);
-  /// Doubles the pending-entry capacity cap_ and reserves the chunk pool
-  /// for it (cap_ / kChunk + 2 * kLanes chunks, the most the lanes can span
-  /// when cap_ entries are pending — so no lane append ever allocates).
-  void grow_queue();
-  void append(int lane, const Entry& e);
-  const Entry& lane_front(int lane) const {
-    return chunks_[lanes_[lane].head_chunk].e[lanes_[lane].head];
-  }
-  const Entry& lane_tail(int lane) const {
-    return chunks_[lanes_[lane].tail_chunk].e[lanes_[lane].tail - 1];
+  void append(int lane, Time delay, const Entry& e);
+  /// Slides lane `l`'s entries to the start of its buffer, doubling the
+  /// buffer first when they fill more than half of it.
+  static void make_room(Lane& l);
+  /// Sorts what is left of lane `l`'s open run by (chan, seq).
+  void sort_run(Lane& l);
+  /// The least entry of a lane: its front, or the unsorted run's least
+  /// entry when the front lies in that run.
+  static const Entry& lane_min(const Lane& l) {
+    return l.unsorted && l.head >= l.run ? l.run_min : l.buf[l.head];
   }
   /// The earliest live entry, found by one scan of the heap top and the
   /// lane fronts; cancelled husks met at the front are popped on the way.
@@ -304,12 +312,12 @@ class Simulator {
   std::uint32_t intra_ = 0;
   RunDelegate* delegate_ = nullptr;
   std::vector<Entry> heap_;
-  std::vector<Chunk> chunks_;
-  std::uint32_t free_chunk_ = kNoChunk;  // head of the free-chunk list
   Lane lanes_[kLanes];
   std::uint32_t lane_mask_ = 0;  // bit i set iff lane i is non-empty
-  std::size_t cap_ = 0;          // pending entries storable without growth
   std::size_t entries_ = 0;      // heap plus lane entries, husks included
+  // sort_run's scratch, sized to the longest run sorted so far.
+  std::vector<std::uint64_t> sort_keys_;
+  std::vector<Entry> sort_tmp_;
   std::vector<Slot> slab_;
   std::vector<std::uint32_t> free_slots_;
 };

@@ -244,6 +244,46 @@ TEST(CampaignExecutorTest, FactoryExceptionBecomesFailedRecord) {
   EXPECT_EQ(result.records[1].error, "boom");
 }
 
+TEST(CampaignRegistry, RateAndTimeParamsOutOfRangeAreNamedErrors) {
+  // Every gbps / us / ns / ms knob goes through one checked reader: a value
+  // that is not finite, is negative, or overflows the 64-bit unit count
+  // fails the run with an error naming the param instead of a UB cast.
+  ScenarioRegistry reg;
+  register_builtin_scenarios(reg);
+  const auto run_with = [&reg](const char* scenario, const char* name,
+                               ParamValue v) {
+    RunSpec one;
+    one.scenario = scenario;
+    one.params.set(name, v);
+    return execute_run(reg, one);
+  };
+  struct Case {
+    const char* scenario;
+    const char* param;
+    ParamValue value;
+  };
+  const Case cases[] = {
+      {"routing_loop", "inject", ParamValue::of_double(1e300)},
+      {"routing_loop", "inject", ParamValue::of_double(-1)},
+      {"routing_loop", "bw_gbps", ParamValue::parse("inf")},
+      {"routing_loop", "link_delay_us", ParamValue::of_double(1e13)},
+      {"routing_loop", "link_delay_us", ParamValue::parse("nan")},
+      {"ring", "tx_jitter_ns", ParamValue::of_double(-5)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.param);
+    const RunRecord rec = run_with(c.scenario, c.param, c.value);
+    EXPECT_EQ(rec.status, RunStatus::kFailed);
+    EXPECT_NE(rec.error.find(std::string("param '") + c.param + "'"),
+              std::string::npos)
+        << rec.error;
+  }
+  // In range, the reader keeps the exact conversion of Rate::gbps.
+  const RunRecord ok =
+      run_with("routing_loop", "inject", ParamValue::of_double(4));
+  EXPECT_EQ(ok.status, RunStatus::kOk) << ok.error;
+}
+
 TEST(CampaignExecutorTest, ContractViolationBecomesFailedRecord) {
   ScenarioRegistry reg;
   ScenarioDef bad;

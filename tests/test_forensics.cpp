@@ -503,6 +503,42 @@ TEST(TraceIoTest, OutOfRangeValuesAreNamedParseErrors) {
             7u);
 }
 
+TEST(TraceIoTest, CycleEntriesAndRecordPortsAreRangeChecked) {
+  // One switch "s" (node 0) with one port, linked to host "h" (node 1).
+  const auto dump = [](const std::string& cycle, const std::string& records) {
+    return "{\"schema\":\"dcdl.telemetry.v1\",\"post_mortem\":true,"
+           "\"cycle\":[" + cycle + "],"
+           "\"topology\":{\"nodes\":[{\"kind\":\"switch\",\"name\":\"s\"},"
+           "{\"kind\":\"host\",\"name\":\"h\"}],\"links\":["
+           "{\"a\":0,\"b\":1,\"delay_ps\":1000}]}}\n" +
+           records;
+  };
+  const std::string entry = "{\"node\":0,\"port\":0,\"cls\":3}";
+  const std::string xoff =
+      "{\"t_ps\":5,\"kind\":\"pfc_xoff\",\"node\":0,\"port\":0,\"cls\":3}\n";
+  const LoadedTrace ok = parse_jsonl(dump(entry, xoff));
+  ASSERT_EQ(ok.cycle.size(), 1u);
+  EXPECT_EQ(ok.cycle[0].port, 0u);
+  EXPECT_EQ(ok.records.at(0).port, 0u);
+  // Cycle entries: a node outside the topology, a port the node lacks, and
+  // a class past the 8-bit range.
+  expect_parse_error(dump("{\"node\":999,\"port\":0,\"cls\":3}", xoff), 1);
+  expect_parse_error(dump("{\"node\":0,\"port\":7,\"cls\":3}", xoff), 1);
+  expect_parse_error(dump("{\"node\":0,\"port\":0,\"cls\":300}", xoff),
+                     1);
+  // A record naming port 7 on the one-port switch.
+  expect_parse_error(
+      dump(entry, xoff +
+                      "{\"t_ps\":6,\"kind\":\"pfc_xoff\",\"node\":0,"
+                      "\"port\":7,\"cls\":3}\n"),
+      3);
+  expect_parse_error(
+      dump(entry,
+           "{\"t_ps\":6,\"kind\":\"queue_bytes\",\"node\":1,\"port\":-1,"
+           "\"cls\":3,\"bytes\":1}\n"),
+      2);
+}
+
 TEST(TraceIoTest, DataplaneRecordsRoundTripAndRerenderByteIdentically) {
   // A run with the in-band pipeline on writes kDataplaneDetect (and, under
   // destructive policies, kDataplaneRecover) records into the v1 stream.

@@ -239,8 +239,10 @@ TEST(Simulator, SlabStaysBoundedUnderSteadyChurn) {
 
 // ---------------------------------------------------------------------------
 // Queue-order oracle. A seeded mix of schedules (repeated delays that ride
-// the delay lanes, more distinct delays than there are lanes, same-time
-// keyed bursts on falling channels that must fall back to the heap),
+// the delay lanes, more distinct delays than there are lanes, zero delays
+// that take the heap, same-time keyed bursts on falling or random channels
+// that tie below a lane's tail — within one callback and across the
+// callbacks of one timestamp),
 // cancels (before firing, from other callbacks, stale, self-cancel) and
 // run_until / run_keyed_window / next_event_time boundaries, checked against
 // a reference that keeps every pending entry — cancelled husks included —
@@ -351,17 +353,20 @@ class QueueOracle {
   void schedule_random() {
     const Time now = sim_.now();
     const std::uint64_t kind = pick(10);
-    if (kind < 2) {
-      // Same-time keyed burst on falling channels: the first may ride a
-      // lane, the later ones sort before the tail and take the heap.
+    if (kind < 4) {
+      // Same-time keyed burst on falling (kinds 0, 1) or random channels:
+      // entries after the first sort before the lane's tail, and bursts
+      // scheduled by other events at the same instant tie with it again.
       const Time at = now + repeated_delay();
       const std::uint64_t base = at == last_.at ? last_.chan : 0;
-      for (std::uint64_t c = base + 2 + pick(3); c > base; --c) {
+      const std::uint64_t n = 2 + pick(4);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const std::uint64_t c = kind < 2 ? base + n - i : base + 1 + pick(32);
         add(Key{at, c, keyed_seq_++});
       }
       return;
     }
-    Time at = now + (kind < 4 ? scattered_delay() : repeated_delay());
+    Time at = now + (kind < 6 ? scattered_delay() : repeated_delay());
     if (at == last_.at && last_.chan != 0) at += Time{200'000};
     add(Key{at, 0, legacy_seq_++});
   }

@@ -18,10 +18,16 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 
+#include "dcdl/device/host.hpp"
+#include "dcdl/routing/compute.hpp"
 #include "dcdl/scenarios/scenario.hpp"
+#include "dcdl/sim/sharded.hpp"
+#include "dcdl/stats/hooks.hpp"
 #include "dcdl/telemetry/metrics.hpp"
 #include "dcdl/telemetry/recorder.hpp"
+#include "dcdl/topo/generators.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -134,6 +140,58 @@ TEST(ZeroAlloc, TelemetryAttachedSteadyStateAllocatesNothing) {
   EXPECT_GT(run_telemetry.counters().tx_starts, 0u);
   EXPECT_EQ(allocs, 0u) << "telemetry leaked heap allocations into the "
                            "steady state across " << events << " events";
+}
+
+TEST(ZeroAlloc, LockstepFatTreeTiesAllocateNothing) {
+  // A k=4 fat-tree permutation of greedy 1000-byte flows over identical
+  // links runs in lockstep: many device events share a timestamp and reach
+  // the event queue's delay lanes below the tail in channel order on the
+  // keyed engine (one shard, run inline). Those ties are put in order
+  // inside the lanes' own storage, so once the lanes have grown to their
+  // high-water marks they cost no allocation either.
+  Simulator sim;
+  const topo::FatTreeTopo ft = topo::make_fat_tree(4);
+  std::optional<ScopedShardRequest> req{std::in_place, 1};
+  Network net(sim, ft.topo, NetConfig{});
+  req.reset();
+  ASSERT_TRUE(net.sharded());
+  ASSERT_EQ(net.engine().num_shards(), 1);
+  routing::install_shortest_paths(net);
+  const std::size_t n = ft.all_hosts.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    FlowSpec f;
+    f.id = static_cast<FlowId>(i + 1);
+    f.src_host = ft.all_hosts[i];
+    f.dst_host = ft.all_hosts[(i + n / 2) % n];
+    f.packet_bytes = 1000;
+    net.host_at(f.src_host).add_flow(f);
+  }
+  // Counts transmissions that start at the same instant as the previous
+  // one: the lockstep the test relies on.
+  Time last = Time::max();
+  std::uint64_t same_time = 0;
+  stats::append_hook<Time, const Packet&, NodeId, PortId>(
+      net.trace().tx_start, [&](Time t, const Packet&, NodeId, PortId) {
+        same_time += t == last ? 1 : 0;
+        last = t;
+      });
+
+  sim.run_until(500_us);  // warm-up: slab, heap and lanes reach high water
+
+  const std::uint64_t events_before = sim.events_executed();
+  const std::uint64_t ties_before = same_time;
+  const std::uint64_t allocs_before =
+      g_allocs.load(std::memory_order_relaxed);
+  sim.run_until(1500_us);
+  const std::uint64_t allocs =
+      g_allocs.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t events = sim.events_executed() - events_before;
+
+  ASSERT_GE(events, 100'000u) << "window too small to be meaningful";
+  ASSERT_GE(same_time - ties_before, events / 10)
+      << "the fabric is not in lockstep; the test is vacuous";
+  EXPECT_EQ(allocs, 0u) << "lockstep ties leaked heap allocations across "
+                        << events << " events";
 }
 
 TEST(ZeroAlloc, EventChurnSteadyStateAllocatesNothing) {

@@ -19,7 +19,10 @@
 # dataplane pipeline re-proves its recovery timeline byte-identical across
 # shard counts and across campaign --jobs under TSan, an ECN incast
 # campaign re-proves its CNP feedback artifacts byte-identical across
-# --jobs x --shards under TSan, the hybrid
+# --jobs x --shards under TSan, dataplane, ECN and routing-loop campaigns
+# re-prove their JSON, CSV and --trace trees byte-identical between the
+# inline one-shard engine (--jobs 1 --shards 1) and four worker shards
+# (--jobs 4 --shards 4) under TSan, the hybrid
 # fluid/packet engine re-proves artifact byte-identity across
 # --jobs x --shards and verdict agreement against the pure packet engine,
 # and the repository benchmark held its baseline. The benchmark builds into
@@ -103,6 +106,37 @@ if [ "$perf" = 1 ]; then
   diff -r "$tsan_dir/ecn_s1" "$tsan_dir/ecn_s2"
   for f in "$tsan_dir"/ecn_s1/*.telemetry.jsonl; do
     grep -q '"kind":"cnp"' "$f"
+  done
+
+  # Inline-shard leg: one shard runs inline on the job's thread (hooks fire
+  # directly), four shards run on worker threads (hooks defer and merge at
+  # window barriers). Both must write the same JSON, CSV and --trace trees
+  # for the dataplane, ECN and routing-loop campaigns.
+  inline_sweep() {
+    out_dir="$tsan_dir/inline_$1_j$2s$3"
+    rm -rf "$out_dir"
+    mkdir -p "$out_dir"
+    scenario=$1
+    shift
+    jobs=$1
+    shards=$2
+    shift 2
+    "$tsan_dir/examples/dcdl_sweep" --scenario "$scenario" "$@" \
+      --run_ms 6 --jobs "$jobs" --shards "$shards" --quiet \
+      --trace "$out_dir/trace" --out "$out_dir/campaign.json" \
+      --csv "$out_dir/campaign.csv"
+  }
+  for jobs_shards in "1 1" "4 4"; do
+    # shellcheck disable=SC2086
+    inline_sweep valley $jobs_shards --set "dataplane=reroute" --seeds 2
+    # shellcheck disable=SC2086
+    inline_sweep incast $jobs_shards --set "ecn=true" --seeds 2
+    # shellcheck disable=SC2086
+    inline_sweep routing_loop $jobs_shards --grid "inject=4..7gbps:4"
+  done
+  for scenario in valley incast routing_loop; do
+    diff -r "$tsan_dir/inline_${scenario}_j1s1" \
+      "$tsan_dir/inline_${scenario}_j4s4"
   done
 
   # Hybrid-engine equivalence leg: the fluid/packet zoom must perturb
