@@ -20,6 +20,7 @@
 // this binary.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -27,6 +28,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -150,6 +152,42 @@ void BM_EventQueueFixedDelays(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_EventQueueFixedDelays)->Unit(benchmark::kMillisecond);
+
+// Forwarding-table lookups as a k=8 fat-tree's switches do them: every
+// (switch, destination host) pair of the installed shortest-path routes
+// (ECMP sets of up to k/2 uplinks), each asked for several flows, in a
+// fixed shuffled order so successive lookups hit different tables.
+void BM_FibLookup(benchmark::State& state) {
+  Simulator sim;
+  const topo::FatTreeTopo ft = topo::make_fat_tree(8);
+  Network net(sim, ft.topo, NetConfig{});
+  routing::install_shortest_paths(net);
+  struct Step {
+    const RouteTable* table;
+    FlowId flow;
+    NodeId dst;
+  };
+  std::vector<Step> steps;
+  for (const NodeId sw : ft.topo.switches()) {
+    for (const NodeId dst : ft.all_hosts) {
+      for (FlowId f = 1; f <= 4; ++f) {
+        steps.push_back({&net.switch_at(sw).routes(), f * 37 + dst, dst});
+      }
+    }
+  }
+  std::mt19937_64 rng(8);
+  std::shuffle(steps.begin(), steps.end(), rng);
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    for (const Step& s : steps) {
+      sink += s.table->lookup(s.flow, s.dst).value_or(PortId{0xFFFF});
+    }
+    benchmark::DoNotOptimize(sink);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(steps.size()));
+}
+BENCHMARK(BM_FibLookup);
 
 // ---------------------------------------------------------------------------
 // Timed fat-tree runs shared by the --shards and --hybrid probes.

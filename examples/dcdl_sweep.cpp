@@ -115,9 +115,11 @@ int main(int argc, char** argv) {
     spec.monitor_dwell = Time{dwell_ms * 1'000'000'000};
     reg.validate_params(scenario, spec.base);
     for (const GridAxis& axis : spec.axes) {
-      ParamMap probe;
-      probe.set(axis.param, axis.values.front());
-      reg.validate_params(scenario, probe);
+      for (const ParamValue& v : axis.values) {
+        ParamMap probe;
+        probe.set(axis.param, v);
+        reg.validate_params(scenario, probe);
+      }
     }
 
     const std::vector<RunSpec> runs = expand(spec);

@@ -56,26 +56,8 @@ std::vector<std::string> ScenarioRegistry::names() const {
   return out;
 }
 
-void ScenarioRegistry::validate_params(const std::string& scenario,
-                                       const ParamMap& params) const {
-  const ScenarioDef& def = at(scenario);
-  for (const auto& [name, value] : params.items()) {
-    if (name == "seed") continue;
-    bool known = false;
-    for (const ParamSpec& p : def.params) known = known || p.name == name;
-    if (!known) {
-      throw CampaignError("scenario '" + scenario + "' has no param '" + name +
-                          "'");
-    }
-  }
-}
-
 namespace {
 
-using scenarios::Scenario;
-
-// Shared knob readers, defaulting to the scenario struct's own defaults so a
-// registered scenario with no overrides is exactly the paper configuration.
 /// The one reader of a rate or duration param: `name` (default
 /// `fallback`) times `scale`, as the int64 count of the unit it converts
 /// to. A non-finite or negative value, or one past the int64 range, is a
@@ -100,6 +82,43 @@ std::int64_t scaled_param(const ParamMap& pm, const char* name,
   return static_cast<std::int64_t>(x);
 }
 
+/// The scale scaled_param applies to a param declared with `unit` (the
+/// factories read gbps as bps, us/ns as ps, ms as ps), or 0 for a param
+/// that is not a rate or duration.
+double unit_scale(const std::string& unit) {
+  if (unit == "gbps" || unit == "ms") return 1e9;
+  if (unit == "us") return 1e6;
+  if (unit == "ns") return 1e3;
+  return 0;
+}
+
+}  // namespace
+
+void ScenarioRegistry::validate_params(const std::string& scenario,
+                                       const ParamMap& params) const {
+  const ScenarioDef& def = at(scenario);
+  for (const auto& [name, value] : params.items()) {
+    if (name == "seed") continue;
+    const ParamSpec* spec = nullptr;
+    for (const ParamSpec& p : def.params) {
+      if (p.name == name) spec = &p;
+    }
+    if (spec == nullptr) {
+      throw CampaignError("scenario '" + scenario + "' has no param '" + name +
+                          "'");
+    }
+    if (const double scale = unit_scale(spec->unit); scale != 0) {
+      scaled_param(params, name.c_str(), 0, scale);
+    }
+  }
+}
+
+namespace {
+
+using scenarios::Scenario;
+
+// Shared knob readers, defaulting to the scenario struct's own defaults so a
+// registered scenario with no overrides is exactly the paper configuration.
 Rate gbps(const ParamMap& pm, const char* name, double fallback_gbps) {
   return Rate{scaled_param(pm, name, fallback_gbps, 1e9)};
 }

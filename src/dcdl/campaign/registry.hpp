@@ -56,8 +56,10 @@ class ScenarioRegistry {
   std::vector<std::string> names() const;
 
   /// Throws CampaignError if `params` contains a name the scenario does not
-  /// declare (almost always a typo in a sweep spec). "seed" is always
-  /// accepted: the sweep layer injects it for every run.
+  /// declare (almost always a typo in a sweep spec), or a rate/duration
+  /// value (unit gbps, us, ns or ms) the scenario factory's checked reader
+  /// would reject as out of range. "seed" is always accepted: the sweep
+  /// layer injects it for every run.
   void validate_params(const std::string& scenario,
                        const ParamMap& params) const;
 

@@ -54,13 +54,13 @@ class Device {
   /// of this device's deterministic execution, so the global event order
   /// stays invariant to the shard count. In legacy runs (self_chan_ == 0)
   /// they use the plain scheduling-order path, bit-identical to history.
-  EventId schedule_at(Time at, EventFn fn) {
+  EventId schedule_at(Time at, EventFn&& fn) {
     if (self_chan_ != 0) {
       return sim_->schedule_keyed(at, self_chan_, ++self_seq_, std::move(fn));
     }
     return sim_->schedule_at(at, std::move(fn));
   }
-  EventId schedule_in(Time delay, EventFn fn) {
+  EventId schedule_in(Time delay, EventFn&& fn) {
     return schedule_at(sim_->now() + delay, std::move(fn));
   }
   void cancel_event(EventId id) { sim_->cancel(id); }

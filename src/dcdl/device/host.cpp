@@ -80,8 +80,10 @@ void Host::try_send() {
   if (busy_ || flows_.empty()) return;
   const Time now = this->now();
   Time earliest = Time::max();
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    const std::size_t idx = (rr_ + i) % flows_.size();
+  const std::size_t n = flows_.size();
+  // Round-robin from rr_, wrapping by compare (rr_ < n: flows only grow).
+  std::size_t idx = rr_;
+  for (std::size_t i = 0; i < n; ++i, idx = idx + 1 == n ? 0 : idx + 1) {
     FlowState& f = flows_[idx];
     if (f.stopped || f.held || now >= f.spec.stop) continue;
     if (now < f.spec.start) {
@@ -98,7 +100,7 @@ void Host::try_send() {
     }
 
     // Inject one packet of this flow.
-    rr_ = (idx + 1) % flows_.size();
+    rr_ = idx + 1 == n ? 0 : idx + 1;
     Packet pkt;
     pkt.id = net_.next_packet_id(id_);
     pkt.flow = f.spec.id;
@@ -116,7 +118,7 @@ void Host::try_send() {
     count_tx(0, pkt.size_bytes);
 
     busy_ = true;
-    Time hold = serialization_time(pkt.size_bytes, net_.link_rate(id_, 0));
+    Time hold = net_.wire(id_, 0).serialization(pkt.size_bytes);
     if (cfg_.tx_jitter > Time::zero()) {
       hold += Time{static_cast<std::int64_t>(jitter_rng_.uniform(
           static_cast<std::uint64_t>(cfg_.tx_jitter.ps()) + 1))};

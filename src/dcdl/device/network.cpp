@@ -8,8 +8,6 @@
 
 namespace dcdl {
 
-thread_local Trace* Network::tls_trace_ = nullptr;
-
 const char* to_string(DropReason r) {
   switch (r) {
     case DropReason::kTtlExpired: return "ttl_expired";
@@ -25,9 +23,7 @@ namespace {
 
 // Canonical channel layout (see network.hpp file comment). Channel 0 is the
 // legacy scheduling-order channel and must never be produced here.
-std::uint64_t wire_channel(std::uint32_t link, std::uint32_t dir) {
-  return 1 + 2ull * link + dir;
-}
+std::uint64_t wire_channel(std::uint32_t dir_link) { return 1 + dir_link; }
 std::uint64_t oob_channel(const Topology& topo, NodeId from) {
   return 1 + 2ull * topo.link_count() + from;
 }
@@ -54,6 +50,25 @@ Network::Network(Simulator& sim, const Topology& topo, NetConfig cfg)
                                 self_channel(topo_, id));
     } else {
       devices_.back()->bind_sim(&sim_, /*self_chan=*/0);
+    }
+  }
+  wire_base_.reserve(topo.node_count());
+  for (NodeId id = 0; id < topo.node_count(); ++id) {
+    wire_base_.push_back(static_cast<std::uint32_t>(wires_.size()));
+    for (const PortPeer& pp : topo.ports(id)) {
+      const LinkSpec& link = topo.link(pp.link);
+      Wire w;
+      w.peer = devices_.at(pp.peer_node).get();
+      w.peer_port = pp.peer_port;
+      w.peer_is_switch = topo.is_switch(pp.peer_node);
+      if (engine_ != nullptr) w.peer_shard = plan_.node_shard[pp.peer_node];
+      w.dir_link = 2 * pp.link + (id == link.a ? 0u : 1u);
+      w.rate = link.rate;
+      w.delay = link.delay;
+      w.pfc_time =
+          serialization_time(cfg_.pfc.control_frame_bytes, link.rate) +
+          link.delay;
+      wires_.push_back(w);
     }
   }
 }
@@ -87,10 +102,6 @@ void Network::init_sharding(int requested_shards) {
   engine_->set_on_run_start([this] { arm_shard_traces(); });
 }
 
-Trace& Network::trace() {
-  return tls_trace_ != nullptr ? *tls_trace_ : trace_;
-}
-
 template <typename... Rest>
 void Network::arm_deferred(HookSlot<Time, Rest...> Trace::*slot) {
   HookSlot<Time, Rest...>* real = &(trace_.*slot);
@@ -121,14 +132,13 @@ void Network::arm_shard_traces() {
 }
 
 template <typename F>
-void Network::post_wire(NodeId from, const PortPeer& pp, Time after, F&& fn) {
+void Network::post_wire(NodeId from, const Wire& w, Time after, F&& fn) {
   if (engine_ == nullptr) {
     sim_.schedule_in(after, std::forward<F>(fn));
     return;
   }
-  const std::uint32_t dir = from == topo_.link(pp.link).a ? 0u : 1u;
-  engine_->post(plan_.node_shard[pp.peer_node], devices_[from]->now() + after,
-                wire_channel(pp.link, dir), ++wire_seq_[2 * pp.link + dir],
+  engine_->post(w.peer_shard, devices_[from]->now() + after,
+                wire_channel(w.dir_link), ++wire_seq_[w.dir_link],
                 std::forward<F>(fn));
 }
 
@@ -165,49 +175,37 @@ const Host& Network::host_at(NodeId id) const {
 }
 
 void Network::transmit(NodeId from, PortId port, Packet pkt) {
-  const PortPeer& pp = topo_.peer(from, port);
-  const LinkSpec& link = topo_.link(pp.link);
-  DCDL_ASSERT(pp.peer_node < devices_.size());
-  Device* peer = devices_[pp.peer_node].get();
-  const PortId peer_port = pp.peer_port;
-  post_wire(from, pp,
-            serialization_time(pkt.size_bytes, link.rate) + link.delay,
+  Wire& w = wire(from, port);
+  Device* peer = w.peer;
+  const PortId peer_port = w.peer_port;
+  post_wire(from, w, w.serialization(pkt.size_bytes) + w.delay,
             [peer, peer_port, pkt]() mutable {
               peer->on_receive(peer_port, pkt);
             });
 }
 
 void Network::send_pfc(NodeId from, PortId port, ClassId cls, bool pause) {
-  const PortPeer& pp = topo_.peer(from, port);
-  const LinkSpec& link = topo_.link(pp.link);
-  DCDL_ASSERT(pp.peer_node < devices_.size());
-  Device* peer = devices_[pp.peer_node].get();
-  const PortId peer_port = pp.peer_port;
-  post_wire(from, pp,
-            serialization_time(cfg_.pfc.control_frame_bytes, link.rate) +
-                link.delay,
-            [peer, peer_port, cls, pause] {
-              peer->on_pfc(peer_port, cls, pause);
-            });
+  const Wire& w = wire(from, port);
+  Device* peer = w.peer;
+  const PortId peer_port = w.peer_port;
+  post_wire(from, w, w.pfc_time, [peer, peer_port, cls, pause] {
+    peer->on_pfc(peer_port, cls, pause);
+  });
 }
 
 void Network::send_pfc(NodeId from, PortId port, ClassId cls, bool pause,
                        const dataplane::PauseTag& tag) {
-  const PortPeer& pp = topo_.peer(from, port);
-  if (!topo_.is_switch(pp.peer_node)) {
+  const Wire& w = wire(from, port);
+  if (!w.peer_is_switch) {
     // Hosts have no pipeline; the tag is meaningful only switch-to-switch.
     send_pfc(from, port, cls, pause);
     return;
   }
-  const LinkSpec& link = topo_.link(pp.link);
-  auto* peer = static_cast<Switch*>(devices_[pp.peer_node].get());
-  const PortId peer_port = pp.peer_port;
-  post_wire(from, pp,
-            serialization_time(cfg_.pfc.control_frame_bytes, link.rate) +
-                link.delay,
-            [peer, peer_port, cls, pause, tag] {
-              peer->on_pfc_tagged(peer_port, cls, pause, tag);
-            });
+  auto* peer = static_cast<Switch*>(w.peer);
+  const PortId peer_port = w.peer_port;
+  post_wire(from, w, w.pfc_time, [peer, peer_port, cls, pause, tag] {
+    peer->on_pfc_tagged(peer_port, cls, pause, tag);
+  });
 }
 
 void Network::send_cnp(NodeId from, FlowId flow, NodeId src_host) {

@@ -61,7 +61,7 @@ class Network {
   /// key order at the next window barrier (ShardedEngine::defer). Everywhere
   /// else — attachment sites, legacy runs, control phases — the real hook
   /// set.
-  Trace& trace();
+  Trace& trace() { return tls_trace_ != nullptr ? *tls_trace_ : trace_; }
 
   /// True when this network runs on the sharded engine.
   bool sharded() const { return engine_ != nullptr; }
@@ -81,6 +81,36 @@ class Network {
   }
   Time link_delay(NodeId node, PortId port) const {
     return topo_.link(topo_.peer(node, port).link).delay;
+  }
+
+  /// One directed attachment (node, port), resolved once at construction
+  /// so the per-packet paths (transmit, PFC frames, hold times, the TTL
+  /// check) read plain fields instead of the topology's checked lookups.
+  struct Wire {
+    Device* peer = nullptr;
+    PortId peer_port = kInvalidPort;
+    bool peer_is_switch = false;
+    std::uint32_t peer_shard = 0;  ///< sharded runs: the peer's shard
+    std::uint32_t dir_link = 0;    ///< 2*link + dir: directed link index
+    /// One-entry serialization memo: the last packet size this port sent
+    /// and its serialization time (0 bytes take 0 ps). Written only by the
+    /// device owning the port, so only by that device's shard.
+    std::uint32_t memo_bytes = 0;
+    Time memo_time = Time::zero();
+    Rate rate;
+    Time delay = Time::zero();
+    Time pfc_time = Time::zero();  ///< PFC frame serialization + delay
+
+    Time serialization(std::uint32_t bytes) {
+      if (bytes != memo_bytes) {
+        memo_bytes = bytes;
+        memo_time = serialization_time(bytes, rate);
+      }
+      return memo_time;
+    }
+  };
+  Wire& wire(NodeId node, PortId port) {
+    return wires_[wire_base_[node] + port];
   }
 
   /// Serializes `pkt` out of (from, port): the peer's on_receive fires after
@@ -148,7 +178,7 @@ class Network {
   /// sequence space data and PFC frames share: both are emissions of the
   /// same link, keyed in the order the sending device produced them.
   template <typename F>
-  void post_wire(NodeId from, const PortPeer& pp, Time after, F&& fn);
+  void post_wire(NodeId from, const Wire& w, Time after, F&& fn);
   /// Schedules out-of-band feedback (CNP, RTT sample) from `from` to host
   /// `to` after the configured feedback delay, keyed per sending node.
   template <typename F>
@@ -170,9 +200,13 @@ class Network {
   std::vector<std::uint64_t> wire_seq_;      ///< per directed link (2L)
   std::vector<std::uint64_t> oob_seq_;       ///< per sending node
   std::vector<std::uint64_t> host_pkt_seq_;  ///< per source host
-  static thread_local Trace* tls_trace_;     ///< shard workers' redirection
+  /// Shard workers' redirection. Inline and constant-initialized, so the
+  /// per-packet trace() reads it without a TLS wrapper call.
+  static inline thread_local Trace* tls_trace_ = nullptr;
 
   std::vector<std::unique_ptr<Device>> devices_;
+  std::vector<std::uint32_t> wire_base_;  ///< per node: its first wire
+  std::vector<Wire> wires_;               ///< per (node, port)
   std::uint64_t packet_id_ = 0;
 };
 

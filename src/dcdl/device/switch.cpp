@@ -70,7 +70,7 @@ void Switch::clear_ingress_shaper(PortId port) {
 }
 
 Time Switch::tx_hold_time(const Packet& pkt, PortId egress) {
-  Time hold = serialization_time(pkt.size_bytes, net_.link_rate(id_, egress));
+  Time hold = net_.wire(id_, egress).serialization(pkt.size_bytes);
   if (cfg_.tx_jitter > Time::zero()) {
     hold += Time{static_cast<std::int64_t>(jitter_rng_.uniform(
         static_cast<std::uint64_t>(cfg_.tx_jitter.ps()) + 1))};
@@ -288,8 +288,7 @@ void Switch::route_and_enqueue(PortId in_port, ClassId in_class,
     }
     return;
   }
-  const NodeId next = net_.topo().peer(id_, *egress).peer_node;
-  if (net_.topo().is_switch(next)) {
+  if (net_.wire(id_, *egress).peer_is_switch) {
     // Further switch-to-switch forwarding: TTL check and decrement.
     if (pkt.ttl == 0) {
       dec_ingress(in_port, in_class, flow_slot, pkt);
@@ -330,7 +329,7 @@ bool Switch::ecn_mark_on_enqueue(EgressPort& eg, PortId port,
   // Phantom queue: drains at a fraction of line speed, marks early.
   const Time now = this->now();
   const double drain_bps =
-      static_cast<double>(net_.link_rate(id_, port).bps()) *
+      static_cast<double>(net_.wire(id_, port).rate.bps()) *
       cfg_.ecn.phantom_speed_fraction;
   const double drained = drain_bps * (now - eg.phantom_last).ps() / 8e12;
   eg.phantom_bytes = std::max(0.0, eg.phantom_bytes - drained);
@@ -374,14 +373,15 @@ void Switch::try_transmit(PortId egress) {
   auto& eg = egress_[egress];
   if (eg.busy) return;
   const std::size_t num_cls = num_classes_;
-  for (std::size_t i = 0; i < num_cls; ++i) {
-    const std::size_t c = (eg.rr_class + i) % num_cls;
+  // Round-robin from rr_class, wrapping by compare (rr_class < num_cls).
+  std::size_t c = eg.rr_class;
+  for (std::size_t i = 0; i < num_cls; ++i, c = c + 1 == num_cls ? 0 : c + 1) {
     auto& q = eg.cls[c];
     if (q.q.empty() || effectively_paused(eg, static_cast<ClassId>(c))) {
       continue;
     }
 
-    eg.rr_class = (c + 1) % num_cls;
+    eg.rr_class = c + 1 == num_cls ? 0 : c + 1;
     QueuedPacket qp = std::move(q.q.front());
     q.q.pop_front();
     q.bytes -= qp.pkt.size_bytes;

@@ -82,7 +82,7 @@ void ShardedEngine::worker_main(std::uint32_t shard) {
 }
 
 void ShardedEngine::post(std::uint32_t dst_shard, Time at, std::uint64_t chan,
-                         std::uint64_t seq, EventFn fn) {
+                         std::uint64_t seq, EventFn&& fn) {
   const int from = tls_worker_shard;
   if (from < 0 || from == static_cast<int>(dst_shard)) {
     // Same shard, coordinator, or setup code: the destination simulator is

@@ -130,7 +130,7 @@ class ShardedEngine final : public Simulator::RunDelegate {
   /// beyond the current window for cross-shard posts — guaranteed by the
   /// lookahead contract, asserted at drain time.
   void post(std::uint32_t dst_shard, Time at, std::uint64_t chan,
-            std::uint64_t seq, EventFn fn);
+            std::uint64_t seq, EventFn&& fn);
 
   /// Worker-side: defers `fire` (a closure over one observation) on
   /// `shard`, keyed by the event that shard is executing; the coordinator

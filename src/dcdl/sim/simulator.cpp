@@ -60,7 +60,7 @@ Simulator::ScopedArenaRecycling::~ScopedArenaRecycling() {
 }
 
 EventId Simulator::push_entry(Time at, std::uint64_t chan, std::uint64_t seq,
-                              EventFn fn) {
+                              EventFn&& fn) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -171,14 +171,14 @@ void Simulator::sort_run(Lane& l) {
             [](const Entry& a, const Entry& b) { return tie_before(a, b); });
 }
 
-EventId Simulator::schedule_at(Time at, EventFn fn) {
+EventId Simulator::schedule_at(Time at, EventFn&& fn) {
   DCDL_EXPECTS(at >= now_);
   DCDL_EXPECTS(static_cast<bool>(fn));
   return push_entry(at, /*chan=*/0, next_seq_++, std::move(fn));
 }
 
 EventId Simulator::schedule_keyed(Time at, std::uint64_t chan,
-                                  std::uint64_t seq, EventFn fn) {
+                                  std::uint64_t seq, EventFn&& fn) {
   DCDL_EXPECTS(at >= now_);
   DCDL_EXPECTS(chan != 0 && chan != kAllChannels);
   DCDL_EXPECTS(static_cast<bool>(fn));

@@ -94,10 +94,12 @@ class Simulator {
   Time now() const { return now_; }
 
   /// Schedules `fn` to run at absolute time `at` (must be >= now()).
-  EventId schedule_at(Time at, EventFn fn);
+  /// Closures are taken by rvalue reference at every layer and moved once,
+  /// into their slab slot.
+  EventId schedule_at(Time at, EventFn&& fn);
 
   /// Schedules `fn` to run `delay` after now().
-  EventId schedule_in(Time delay, EventFn fn) {
+  EventId schedule_in(Time delay, EventFn&& fn) {
     return schedule_at(now_ + delay, std::move(fn));
   }
 
@@ -105,7 +107,7 @@ class Simulator {
   /// must be unique per simulator; `chan` must be non-zero (channel 0 is
   /// the legacy global-sequence channel). Events fire in key order.
   EventId schedule_keyed(Time at, std::uint64_t chan, std::uint64_t seq,
-                         EventFn fn);
+                         EventFn&& fn);
 
   /// Cancels a pending event. Cancelling an already-fired or already
   /// cancelled event is a harmless no-op and never accumulates state: the
@@ -274,7 +276,7 @@ class Simulator {
   };
 
   EventId push_entry(Time at, std::uint64_t chan, std::uint64_t seq,
-                     EventFn fn);
+                     EventFn&& fn);
   void enqueue(const Entry& e);
   void append(int lane, Time delay, const Entry& e);
   /// Slides lane `l`'s entries to the start of its buffer, doubling the

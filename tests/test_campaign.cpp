@@ -284,6 +284,44 @@ TEST(CampaignRegistry, RateAndTimeParamsOutOfRangeAreNamedErrors) {
   EXPECT_EQ(ok.status, RunStatus::kOk) << ok.error;
 }
 
+TEST(CampaignRegistry, ValidateParamsRangeChecksRateAndTimeValues) {
+  // The checked reader runs before any run: a sweep whose base or grid
+  // holds an out-of-range rate or duration is rejected up front with the
+  // same named error the run would fail with.
+  ScenarioRegistry reg;
+  register_builtin_scenarios(reg);
+  const auto error_of = [&reg](const char* scenario, const char* name,
+                               ParamValue v) -> std::string {
+    ParamMap pm;
+    pm.set(name, v);
+    try {
+      reg.validate_params(scenario, pm);
+    } catch (const CampaignError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string huge =
+      error_of("routing_loop", "inject", ParamValue::parse("1e300gbps"));
+  EXPECT_NE(huge.find("param 'inject' = 1e+300 is out of range"),
+            std::string::npos)
+      << huge;
+  EXPECT_NE(error_of("routing_loop", "link_delay_us", ParamValue::of_double(-1))
+                .find("param 'link_delay_us'"),
+            std::string::npos);
+  EXPECT_NE(error_of("ring", "tx_jitter_ns", ParamValue::parse("nan"))
+                .find("param 'tx_jitter_ns'"),
+            std::string::npos);
+  EXPECT_NE(error_of("fluid_gap", "fluid_run_ms", ParamValue::of_double(1e10))
+                .find("param 'fluid_run_ms'"),
+            std::string::npos);
+  // In range, and params that are not rates or durations, pass.
+  EXPECT_EQ(error_of("routing_loop", "inject", ParamValue::of_double(7)), "");
+  EXPECT_EQ(error_of("routing_loop", "ttl", ParamValue::of_int(16)), "");
+  EXPECT_EQ(error_of("fluid_gap", "fluid_run_ms", ParamValue::of_double(10)),
+            "");
+}
+
 TEST(CampaignExecutorTest, ContractViolationBecomesFailedRecord) {
   ScenarioRegistry reg;
   ScenarioDef bad;

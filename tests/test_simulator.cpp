@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <compare>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "dcdl/sim/simulator.hpp"
@@ -479,6 +482,213 @@ TEST(SimulatorDeath, RejectsSchedulingInThePast) {
   sim.schedule_at(10_ns, [] {});
   sim.run();
   EXPECT_DEATH(sim.schedule_at(5_ns, [] {}), "precondition");
+}
+
+// --- EventFn lifetime ----------------------------------------------------
+//
+// Every closure must be destroyed exactly once however its event ends:
+// fired, cancelled, cancelled from inside its own callback, or still
+// pending when the Simulator is destroyed. Counted closures tally every
+// construction (including each relocation's move) and every destruction;
+// a double destroy drives `live()` negative, a leak leaves it positive.
+
+struct Tally {
+  int made = 0;
+  int destroyed = 0;
+  int calls = 0;
+  int corrupt = 0;  // Plain payload words that arrived changed
+  int min_live = 0;
+  int live() const { return made - destroyed; }
+};
+
+/// Non-trivial closure of `Pad` payload bytes (beyond the budget: heap).
+template <std::size_t Pad>
+struct Counted {
+  Tally* t;
+  Simulator* sim = nullptr;
+  const EventId* self = nullptr;  // cancelled from inside its callback
+  std::array<unsigned char, Pad> pad{};
+
+  explicit Counted(Tally* tally) : t(tally) { ++t->made; }
+  Counted(const Counted& o) : t(o.t), sim(o.sim), self(o.self), pad(o.pad) {
+    ++t->made;
+  }
+  Counted(Counted&& o) noexcept
+      : t(o.t), sim(o.sim), self(o.self), pad(o.pad) {
+    ++t->made;
+  }
+  Counted& operator=(const Counted&) = delete;
+  ~Counted() {
+    ++t->destroyed;
+    t->min_live = std::min(t->min_live, t->live());
+  }
+  void operator()() {
+    ++t->calls;
+    if (self != nullptr) sim->cancel(*self);
+  }
+};
+
+/// Trivially copyable closure filling the whole inline budget: it has no
+/// destructor to count, so the test checks that its bytes survive every
+/// relocation (slab growth, the move out of the slot at fire) intact. Each
+/// closure's words derive from its own seed, so stale bytes left in a
+/// recycled slot by an earlier closure do not pass for a correct copy.
+struct Plain {
+  Tally* t;
+  Simulator* sim;
+  const EventId* self;
+  std::uint64_t words[5];
+  void operator()() const {
+    ++t->calls;
+    for (std::uint64_t i = 1; i < 5; ++i) {
+      if (words[i] != words[0] * 0x9E3779B97F4A7C15ULL * (i + 1)) {
+        ++t->corrupt;
+      }
+    }
+    if (self != nullptr) sim->cancel(*self);
+  }
+};
+static_assert(std::is_trivially_copyable_v<Plain>);
+static_assert(sizeof(Plain) == 64);
+static_assert(!std::is_trivially_copyable_v<Counted<8>>);
+static_assert(sizeof(Counted<8>) <= 64);
+static_assert(sizeof(Counted<100>) > 64);  // InplaceFn's heap fallback
+
+Plain make_plain(Tally* t, Simulator* sim, const EventId* self,
+                 std::uint64_t seed) {
+  Plain p{t, sim, self, {seed + 1}};
+  for (std::uint64_t i = 1; i < 5; ++i) {
+    p.words[i] = p.words[0] * 0x9E3779B97F4A7C15ULL * (i + 1);
+  }
+  return p;
+}
+
+template <typename Fn>
+Fn make_closure(Tally* t, Simulator* sim, const EventId* self,
+                std::uint64_t seed) {
+  if constexpr (std::is_same_v<Fn, Plain>) {
+    return make_plain(t, sim, self, seed);
+  } else {
+    Fn f(t);
+    f.sim = sim;
+    f.self = self;
+    return f;
+  }
+}
+
+template <typename Fn>
+void check_event_fn_lifetimes() {
+  constexpr bool kPlain = std::is_same_v<Fn, Plain>;
+  // Enough events that the slab grows (relocating live closures) mid-way.
+  constexpr int kBatch = 100;
+  {  // fired
+    Tally t;
+    {
+      Simulator sim;
+      for (int i = 0; i < kBatch; ++i) {
+        sim.schedule_at(Time{i + 1}, make_closure<Fn>(&t, nullptr, nullptr, i));
+      }
+      sim.run();
+      EXPECT_EQ(t.calls, kBatch);
+      if (!kPlain) EXPECT_EQ(t.live(), 0);
+    }
+    EXPECT_EQ(t.live(), 0);
+    EXPECT_EQ(t.min_live, 0);
+    EXPECT_EQ(t.corrupt, 0);
+  }
+  {  // cancelled before firing: destroyed at the cancel
+    Tally t;
+    {
+      Simulator sim;
+      std::vector<EventId> ids;
+      for (int i = 0; i < kBatch; ++i) {
+        ids.push_back(sim.schedule_at(
+            Time{i + 1}, make_closure<Fn>(&t, nullptr, nullptr, i)));
+      }
+      for (const EventId id : ids) sim.cancel(id);
+      if (!kPlain) EXPECT_EQ(t.live(), 0);
+      for (const EventId id : ids) sim.cancel(id);  // stale: no-op
+      sim.run();
+      EXPECT_EQ(t.calls, 0);
+    }
+    EXPECT_EQ(t.live(), 0);
+    EXPECT_EQ(t.min_live, 0);
+    EXPECT_EQ(t.corrupt, 0);
+  }
+  {  // cancelled from inside its own callback
+    Tally t;
+    {
+      Simulator sim;
+      std::vector<EventId> ids(kBatch);
+      for (int i = 0; i < kBatch; ++i) {
+        ids[i] = sim.schedule_at(Time{i + 1},
+                                 make_closure<Fn>(&t, &sim, &ids[i], i));
+      }
+      sim.run();
+      EXPECT_EQ(t.calls, kBatch);
+      if (!kPlain) EXPECT_EQ(t.live(), 0);
+    }
+    EXPECT_EQ(t.live(), 0);
+    EXPECT_EQ(t.min_live, 0);
+    EXPECT_EQ(t.corrupt, 0);
+  }
+  for (const bool recycle : {false, true}) {  // pending at destruction
+    SCOPED_TRACE(recycle ? "arena recycling" : "plain destruction");
+    Tally t;
+    {
+      std::optional<Simulator::ScopedArenaRecycling> scope;
+      if (recycle) scope.emplace();
+      {
+        Simulator sim;
+        for (int i = 0; i < kBatch; ++i) {
+          sim.schedule_at(Time{i + 1},
+                          make_closure<Fn>(&t, nullptr, nullptr, i));
+        }
+        sim.run_until(Time{kBatch / 2});
+        EXPECT_EQ(t.calls, kBatch / 2);
+        if (!kPlain) EXPECT_EQ(t.live(), kBatch - kBatch / 2);
+      }
+      EXPECT_EQ(t.live(), 0);
+    }
+    EXPECT_EQ(t.live(), 0);
+    EXPECT_EQ(t.min_live, 0);
+    EXPECT_EQ(t.corrupt, 0);
+  }
+}
+
+TEST(EventFnLifetime, TriviallyCopyableClosureRelocatesByBytes) {
+  check_event_fn_lifetimes<Plain>();
+}
+
+TEST(EventFnLifetime, NonTrivialClosureIsDestroyedExactlyOnce) {
+  check_event_fn_lifetimes<Counted<8>>();
+}
+
+TEST(EventFnLifetime, OversizedClosureOnTheHeapIsDestroyedExactlyOnce) {
+  check_event_fn_lifetimes<Counted<100>>();
+}
+
+TEST(EventFnLifetime, MoveAssignAndResetDestroyOnce) {
+  Tally t;
+  {
+    EventFn a = Counted<8>(&t);
+    EventFn b = Counted<100>(&t);
+    EXPECT_EQ(t.live(), 2);
+    a = std::move(b);  // destroys a's closure, takes b's heap cell
+    EXPECT_EQ(t.live(), 1);
+    EXPECT_FALSE(static_cast<bool>(b));
+    a();
+    EXPECT_EQ(t.calls, 1);
+    a = nullptr;
+    EXPECT_EQ(t.live(), 0);
+    EventFn c = make_plain(&t, nullptr, nullptr, 7);
+    EventFn d = std::move(c);
+    d();
+    EXPECT_EQ(t.calls, 2);
+    EXPECT_EQ(t.corrupt, 0);
+  }
+  EXPECT_EQ(t.live(), 0);
+  EXPECT_EQ(t.min_live, 0);
 }
 
 }  // namespace
